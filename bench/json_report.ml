@@ -472,46 +472,6 @@ let run ~picks () =
          move_heavy)
   in
   let moves_gate_ok = 2 * move_wins >= List.length move_heavy in
-  (* DAG engagement: the lent wide_pool is only worth its plumbing if a
-     DAG suite run actually enters both speculative Color-stage engines.
-     Suite graphs sit under the engines' production node floors (those
-     exist to keep small routines sequential), so the floors drop to 1
-     for this one run — the engines' structural chunk minima still
-     decide per graph — and the run's own telemetry sink is read back
-     for the engagement counters. The outcomes must still fingerprint
-     identically to the sequential suite. *)
-  let eng_tele = Ra_support.Telemetry.create () in
-  (* sized to [jobs], not [hw_jobs]: this asserts the engagement
-     plumbing, not a speedup, and must exercise it on 1-core runners *)
-  let eng_sched = Ra_support.Scheduler.create ~jobs in
-  let eng_res =
-    Fun.protect
-      ~finally:(fun () ->
-        Par_color.set_min_nodes None;
-        Par_simplify.set_min_nodes None;
-        Ra_support.Scheduler.shutdown eng_sched)
-      (fun () ->
-        Par_color.set_min_nodes (Some 1);
-        Par_simplify.set_min_nodes (Some 1);
-        Batch.allocate_matrix ~sched:Batch.Dag ~scheduler:eng_sched
-          ~tele:eng_tele machine heuristics suite_procs)
-  in
-  let eng_color =
-    Ra_support.Telemetry.counter_total eng_tele "par_color.engaged"
-  in
-  let eng_simplify =
-    Ra_support.Telemetry.counter_total eng_tele "par_simplify.engaged"
-  in
-  let eng_identical = List.map (List.map fingerprint) eng_res = !seq_fps in
-  if not eng_identical then
-    divergences := "suite/dag-engagement" :: !divergences;
-  if eng_color = 0 then
-    divergences :=
-      "dag engagement: par_color never engaged on the suite" :: !divergences;
-  if eng_simplify = 0 then
-    divergences :=
-      "dag engagement: par_simplify never engaged on the suite"
-      :: !divergences;
   (* telemetry overhead: the routine set end to end with the sink
      disabled (the default) vs buffering every span and counter.
      Min-of-reps on both sides; the disabled path must not be slower
@@ -602,12 +562,6 @@ let run ~picks () =
   let aca_hits = Ra_analysis.Analysis_cache.hits aca in
   let aca_misses = Ra_analysis.Analysis_cache.misses aca in
   let aca_lookups = aca_hits + aca_misses in
-  (* the speculative-coloring section: synthetic graphs, sequential
-     baseline vs engine at widths 1/2/4/8, with its own gates *)
-  let par_color_json, par_color_fails = Synth_bench.section () in
-  (* the speculative-Simplify section: same synthetic graphs, peeling
-     engine vs the faithful sequential baseline, its own gates *)
-  let par_simplify_json, par_simplify_fails = Par_simplify_bench.section () in
   let utilization =
     String.concat ", "
       (Array.to_list
@@ -640,10 +594,7 @@ let run ~picks () =
         \"hit_rate\": %s},\n  \
         \"analysis_cache\": {\"hits\": %d, \"misses\": %d, \
         \"hit_rate\": %s},\n  \
-        \"dag_engagement\": {\"par_color_engaged\": %d, \
-        \"par_simplify_engaged\": %d, \"identical\": %b},\n  \
-        \"par_color\": %s,\n  \
-        \"par_simplify\": %s,\n  \"divergences\": [%s]\n}\n"
+        \"divergences\": [%s]\n}\n"
        jobs
        (List.length suite_procs)
        (String.concat ", "
@@ -681,7 +632,6 @@ let run ~picks () =
        aca_hits aca_misses
        (if aca_lookups = 0 then "null"
         else Printf.sprintf "%.4f" (float aca_hits /. float aca_lookups))
-       eng_color eng_simplify eng_identical par_color_json par_simplify_json
        (String.concat ", "
           (List.rev_map (Printf.sprintf "\"%s\"") !divergences)));
   let path = "BENCH_alloc.json" in
@@ -735,18 +685,5 @@ let run ~picks () =
       "irc move gate: matched aggressive coalescing on only %d of %d \
        move-heavy routines\n"
       move_wins (List.length move_heavy);
-    exit 1
-  end;
-  (* the speculative engine's gates: bit-identical everywhere, width 1
-     never regresses, and width >= 2 beats the baseline outright on the
-     big synthetic graphs *)
-  if par_color_fails <> [] then begin
-    List.iter (fun f -> Printf.eprintf "%s\n" f) par_color_fails;
-    exit 1
-  end;
-  (* same gates for the peeling Simplify engine: bit-identical at every
-     width, width 1 within the slack, width >= 2 wins at scale *)
-  if par_simplify_fails <> [] then begin
-    List.iter (fun f -> Printf.eprintf "%s\n" f) par_simplify_fails;
     exit 1
   end

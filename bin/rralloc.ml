@@ -5,8 +5,13 @@
      alloc    register-allocate and print allocated code + statistics
      run      execute a procedure under the VM (virtual or allocated)
      compare  Chaitin vs Briggs spill statistics for every procedure
-     synth    emit a synthetic MFL program, or color a synthetic
-              interference graph with the speculative Select engine
+     suite    run a benchmark-suite program under the VM
+     synth    emit a synthetic MFL program
+
+   Exit codes: 0 success; 1 bad input (unreadable or ill-typed source,
+   unknown name or argument), lint errors or race-check findings;
+   2 allocation failure (one stderr line names the routine and the
+   reason); 124 usage error.
 *)
 
 open Cmdliner
@@ -95,26 +100,6 @@ let trace_arg =
                (about://tracing / Perfetto), or JSON lines when PATH \
                ends in .jsonl (same as setting RA_TRACE=PATH)")
 
-let no_par_color_arg =
-  Arg.(value & flag & info [ "no-par-color" ]
-         ~doc:"Keep the Select stage on the plain sequential path \
-               instead of the speculative parallel coloring engine \
-               (same as RA_PAR_COLOR=0). Results are bit-identical \
-               either way; this only moves work off the pool.")
-
-let apply_par_color no_par =
-  if no_par then Ra_core.Par_color.set_enabled (Some false)
-
-let no_par_simplify_arg =
-  Arg.(value & flag & info [ "no-par-simplify" ]
-         ~doc:"Keep the Simplify stage on the plain sequential path \
-               instead of the speculative parallel peeling engine \
-               (same as RA_PAR_SIMPLIFY=0). Results are bit-identical \
-               either way; this only moves work off the pool.")
-
-let apply_par_simplify no_par =
-  if no_par then Ra_core.Par_simplify.set_enabled (Some false)
-
 let sched_arg =
   Arg.(value & opt (some (enum [ "dag", Ra_core.Batch.Dag;
                                  "flat", Ra_core.Batch.Flat ]))
@@ -159,17 +144,26 @@ let apply_jobs jobs =
 
 (* One heuristic over a procedure batch under the selected scheduling
    mode: the DAG matrix (stage tasks, shared first-pass builds) by
-   default, the flat procedure-per-task pool under --sched flat. *)
+   default, the flat procedure-per-task pool under --sched flat. An
+   allocation that cannot be completed (a routine with no legal
+   coloring, or one --verify rejects) is reported, not raised: the
+   first stderr line names the routine and the reason, and the exit
+   code is 2. *)
 let allocate_batch ?edge_cache ?verify ~pool machine h procs =
-  match Ra_core.Batch.sched_mode () with
-  | Ra_core.Batch.Dag ->
-    (match
-       Ra_core.Batch.allocate_matrix ?edge_cache ?verify machine [ h ] procs
-     with
-     | [ results ] -> results
-     | _ -> assert false)
-  | Ra_core.Batch.Flat ->
-    Ra_core.Batch.allocate_all ~pool ?edge_cache ?verify machine h procs
+  try
+    match Ra_core.Batch.sched_mode () with
+    | Ra_core.Batch.Dag ->
+      (match
+         Ra_core.Batch.allocate_matrix ?edge_cache ?verify machine [ h ] procs
+       with
+       | [ results ] -> results
+       | _ -> assert false)
+    | Ra_core.Batch.Flat ->
+      Ra_core.Batch.allocate_all ~pool ?edge_cache ?verify machine h procs
+  with Ra_core.Allocator.Allocation_failure reason ->
+    Printf.eprintf "rralloc: allocation failed under %s: %s\n"
+      (Ra_core.Heuristic.name h) reason;
+    exit 2
 
 let select_procs procs = function
   | None -> procs
@@ -207,11 +201,9 @@ let dump_cmd =
 
 let alloc_cmd =
   let run file proc heuristic k verbose optimize verify jobs no_cache race
-      trace sched no_par no_par_simplify =
+      trace sched =
     apply_trace trace;
     apply_sched sched;
-    apply_par_color no_par;
-    apply_par_simplify no_par_simplify;
     let pool = apply_jobs jobs in
     let machine = machine_of_k k in
     let h = heuristic_of_name heuristic in
@@ -242,7 +234,7 @@ let alloc_cmd =
   Cmd.v (Cmd.info "alloc" ~doc:"Register-allocate and report statistics")
     Term.(const run $ file_arg $ proc_arg $ heuristic_arg $ k_arg $ verbose
           $ opt_arg $ verify_arg $ jobs_arg $ no_cache_arg $ race_arg
-          $ trace_arg $ sched_arg $ no_par_color_arg $ no_par_simplify_arg)
+          $ trace_arg $ sched_arg)
 
 (* ---- run ---- *)
 
@@ -371,113 +363,35 @@ let suite_cmd =
 (* ---- synth ---- *)
 
 let synth_cmd =
-  let run seed size routines graph webs degree k jobs no_par =
-    apply_par_color no_par;
-    match graph with
-    | None ->
-      (* program mode: emit MFL source on stdout, ready to pipe back
-         into dump/alloc/run *)
-      if routines <= 1 then
-        print_string (Ra_programs.Synth.program ~seed ~size)
-      else print_string (Ra_programs.Synth.many ~seed ~size ~routines)
-    | Some gen ->
-      (* graph mode: build the interference graph directly and race the
-         speculative Select engine against its sequential baseline *)
-      let pool = apply_jobs jobs in
-      let g = gen ~seed ~n_nodes:webs ~n_precolored:32 ~avg_degree:degree in
-      let view = Ra_core.Synth_graph.view g in
-      let order = Ra_core.Synth_graph.natural_order g in
-      let wall f =
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        r, Unix.gettimeofday () -. t0
-      in
-      let (base_colors, base_unc), seq_s =
-        wall (fun () -> Ra_core.Par_color.select_view_seq view ~k ~order)
-      in
-      let stats = ref Ra_core.Par_color.no_stats in
-      let (colors, unc), spec_s =
-        wall (fun () ->
-          Ra_core.Par_color.select_view ?pool ~stats view ~k ~order)
-      in
-      let identical = colors = base_colors && unc = base_unc in
-      Printf.printf
-        "webs %d, edges %d, digest %s\n\
-         sequential %.6fs, engine %.6fs (width %d%s), spilled %d\n\
-         rounds %d, deferrals %d, identical %b\n"
-        (Ra_core.Synth_graph.n_nodes g)
-        (Ra_core.Synth_graph.n_edges g)
-        (Ra_core.Synth_graph.digest g)
-        seq_s spec_s
-        (match pool with Some p -> Ra_support.Pool.jobs p | None -> 1)
-        (if !stats.Ra_core.Par_color.engaged then "" else ", not engaged")
-        (List.length base_unc)
-        !stats.Ra_core.Par_color.rounds !stats.Ra_core.Par_color.suspects
-        identical;
-      if not identical then exit 1
+  let run seed size routines =
+    (* emit MFL source on stdout, ready to pipe back into
+       dump/alloc/run *)
+    if routines <= 1 then print_string (Ra_programs.Synth.program ~seed ~size)
+    else print_string (Ra_programs.Synth.many ~seed ~size ~routines)
   in
   let seed =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N"
-           ~doc:"Generator seed; the same seed always yields the same \
-                 bytes/graph")
+           ~doc:"Generator seed; the same seed always yields the same bytes")
   in
   let size =
     Arg.(value & opt int 40 & info [ "size" ] ~docv:"N"
-           ~doc:"Statement budget per generated routine (program mode)")
+           ~doc:"Statement budget per generated routine")
   in
   let routines =
     Arg.(value & opt int 1 & info [ "routines" ] ~docv:"N"
-           ~doc:"Number of generated routines (program mode); above 1 a \
-                 driver main sums their checksums")
-  in
-  let graph =
-    Arg.(value
-         & opt
-             (some
-                (enum
-                   [ "power-law",
-                     (fun ~seed ~n_nodes ~n_precolored ~avg_degree ->
-                       Ra_core.Synth_graph.power_law ~seed ~n_nodes
-                         ~n_precolored ~avg_degree);
-                     "geometric",
-                     (fun ~seed ~n_nodes ~n_precolored ~avg_degree ->
-                       Ra_core.Synth_graph.geometric ~seed ~n_nodes
-                         ~n_precolored ~avg_degree) ]))
-             None
-         & info [ "graph" ] ~docv:"KIND"
-             ~doc:"Switch to graph mode: generate a 'power-law' or \
-                   'geometric' interference graph, color it with the \
-                   speculative engine and its sequential baseline, and \
-                   report both walls (exits non-zero if they disagree)")
-  in
-  let webs =
-    Arg.(value & opt int 100_000 & info [ "webs" ] ~docv:"N"
-           ~doc:"Node count of the generated graph (graph mode)")
-  in
-  let degree =
-    Arg.(value & opt int 8 & info [ "avg-degree" ] ~docv:"N"
-           ~doc:"Average degree of the generated graph (graph mode)")
-  in
-  let k =
-    Arg.(value & opt int 16 & info [ "k" ] ~docv:"K"
-           ~doc:"Colors available to Select (graph mode)")
+           ~doc:"Number of generated routines; above 1 a driver main sums \
+                 their checksums")
   in
   Cmd.v
-    (Cmd.info "synth"
-       ~doc:"Generate synthetic workloads: random MFL programs, or \
-             interference graphs colored by the speculative engine")
-    Term.(const run $ seed $ size $ routines $ graph $ webs $ degree $ k
-          $ jobs_arg $ no_par_color_arg)
+    (Cmd.info "synth" ~doc:"Generate a synthetic random MFL program")
+    Term.(const run $ seed $ size $ routines)
 
 (* ---- compare ---- *)
 
 let compare_cmd =
-  let run file k optimize jobs no_cache race trace sched no_par
-      no_par_simplify =
+  let run file k optimize jobs no_cache race trace sched =
     apply_trace trace;
     apply_sched sched;
-    apply_par_color no_par;
-    apply_par_simplify no_par_simplify;
     ignore (apply_jobs jobs);
     let machine = machine_of_k k in
     let procs = compile ~optimize file in
@@ -580,8 +494,7 @@ let compare_cmd =
        ~doc:"Per-procedure spill statistics across all four heuristics \
              (chaitin, briggs, matula, irc)")
     Term.(const run $ file_arg $ k_arg $ opt_arg $ jobs_arg $ no_cache_arg
-          $ race_arg $ trace_arg $ sched_arg $ no_par_color_arg
-          $ no_par_simplify_arg)
+          $ race_arg $ trace_arg $ sched_arg)
 
 let () =
   let info = Cmd.info "rralloc" ~doc:"Briggs-style graph-coloring register allocator" in

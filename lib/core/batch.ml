@@ -16,19 +16,12 @@ let map_procs ?pool ?context ?edge_cache machine ~f (procs : Proc.t list) =
   | None, Some pool when Ra_support.Pool.jobs pool > 1 && several ->
     (* Procedure-level dispatch: each routine is one pool task with a
        context of its own (contexts are single-threaded); the result
-       list keeps routine order. The width hint is scheduler-aware
-       rather than a hard pin: build-stage block scans stay at
+       list keeps routine order. Build-stage block scans stay at
        [jobs:1] — nesting block-sharded builds inside procedure tasks
        would queue [jobs × jobs] tasks on the same pool for no extra
-       width — but the pool is lent to each context as [wide_pool], so
-       a routine whose interference graph clears the engines'
-       node-count floors can still go wide inside Simplify/Select
-       (Pool.run is re-entrant: a task that fans out simply has its
-       subtasks interleaved on the same domains, never oversubscribing,
-       while small routines never touch the lent pool and so never
-       starve the procedure-level tasks). Each task's context, graphs
-       and cache are its own creations; the shared resources it touches
-       are the telemetry sink and the lent pool. *)
+       width. Each task's context, graphs and cache are its own
+       creations; the one shared resource it touches is the telemetry
+       sink. *)
     Ra_support.Pool.map_list pool
       ~meta:(fun proc ->
         { Ra_support.Pool.tm_name = "alloc:" ^ proc.Proc.name;
@@ -36,7 +29,7 @@ let map_procs ?pool ?context ?edge_cache machine ~f (procs : Proc.t list) =
             { Ra_support.Footprint.reads = [];
               writes = [ Ra_support.Footprint.Telemetry ] } })
       (fun proc ->
-        f (Context.create ?edge_cache ~jobs:1 ~wide_pool:pool machine) proc)
+        f (Context.create ?edge_cache ~jobs:1 machine) proc)
       procs
   | None, (Some _ | None) ->
     (* zero or one routine (or a width-1 pool): spend the pool on
@@ -134,17 +127,13 @@ let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
             (* Per-pipeline contexts are single-threaded and private:
                their scratch graphs, buckets and edge caches are the
                stage chain's only mutable state besides its proc copy.
-               Build scans stay at jobs:1 (procedure-level parallelism
-               owns the domains), but the scheduler's pool façade is
-               lent as [wide_pool] so large Color stages can peel and
-               select in parallel — the engines' floors gate the
-               engagement on web count. *)
+               Build scans stay at jobs:1: procedure-level parallelism
+               owns the domains. *)
             let pipelines =
               List.map
                 (fun h ->
                   h,
-                  Context.create ?edge_cache ~verify ~jobs:1 ?wide_pool:bpool
-                    ~tele machine)
+                  Context.create ?edge_cache ~verify ~jobs:1 ~tele machine)
                 heuristics
             in
             ( orig,

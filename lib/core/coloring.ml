@@ -97,30 +97,32 @@ type select_result = {
 
 let select (g : Igraph.t) ~k ~order : select_result =
   let n = Igraph.n_nodes g in
-  let colors = Array.make n None in
+  (* [-1] = no color (never reinserted, or blocked) *)
+  let colors = Array.make n (-1) in
   for p = 0 to Igraph.n_precolored g - 1 do
-    colors.(p) <- Some p
+    colors.(p) <- p
   done;
   let uncolored = ref [] in
-  let in_use = Array.make (max k 1) false in
+  (* [in_use.(c) = stamp] marks color [c] taken around the current node;
+     a fresh stamp per node stands in for a second, resetting sweep *)
+  let in_use = Array.make (max k 1) 0 in
+  let stamp = ref 0 in
   let color_node node =
+    incr stamp;
+    let s = !stamp in
     Igraph.iter_neighbors g node ~f:(fun nb ->
-      match colors.(nb) with
-      | Some c when c < k -> in_use.(c) <- true
-      | Some _ | None -> ());
-    let rec first_free c = if c >= k then None else if in_use.(c) then first_free (c + 1) else Some c in
-    (match first_free 0 with
-     | Some c -> colors.(node) <- Some c
-     | None -> uncolored := node :: !uncolored);
-    (* reset scratch *)
-    Igraph.iter_neighbors g node ~f:(fun nb ->
-      match colors.(nb) with
-      | Some c when c < k -> in_use.(c) <- false
-      | Some _ | None -> ())
+      let c = colors.(nb) in
+      if c >= 0 && c < k then in_use.(c) <- s);
+    let c = ref 0 in
+    while !c < k && in_use.(!c) = s do
+      incr c
+    done;
+    if !c < k then colors.(node) <- !c else uncolored := node :: !uncolored
   in
   (* reinsert in reverse removal order *)
   List.iter color_node (List.rev order);
-  { colors; uncolored = List.rev !uncolored }
+  { colors = Array.map (fun c -> if c >= 0 then Some c else None) colors;
+    uncolored = List.rev !uncolored }
 
 let smallest_last_order ?buckets (g : Igraph.t) : int list =
   let n = Igraph.n_nodes g in

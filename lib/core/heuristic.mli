@@ -52,21 +52,14 @@ val of_name : string -> t option
     class graphs of a pass); [on_coalesce] is handed through to
     {!Irc.run} so the caller can union the underlying webs per merge.
 
-    With [pool], select routes through the speculative parallel engine
-    whenever {!Par_color.should} says it can pay — the outcome is
-    bit-identical either way; [verify] additionally cross-checks that
-    engine against [Coloring.select] (raising {!Par_color.Divergence}
-    on any difference). {!Irc} never engages the speculative engines —
-    coalescing mutates degrees and adjacency mid-loop, breaking both
-    engines' frozen-state assumptions — and records the declination as
-    [par_simplify.declined_irc] / [par_color.declined_irc] counters
-    whenever an engine would otherwise have engaged. *)
+    [pool] is accepted and unused: Simplify and Select are sequential
+    at every graph size. It stays so that existing callers that pass a
+    pool keep compiling. *)
 val run :
   ?timer:Ra_support.Timer.t ->
   ?tele:Ra_support.Telemetry.t ->
   ?buckets:Ra_support.Degree_buckets.t ->
   ?pool:Ra_support.Pool.t ->
-  ?verify:bool ->
   ?moves:(int * int) array ->
   ?irc_stats:Irc.stats ->
   ?on_coalesce:(int -> int -> int) ->

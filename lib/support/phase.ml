@@ -7,7 +7,6 @@ type t =
   | Coalesce
   | Scan
   | Simplify
-  | Par_simplify
   | Color
   | Spill_elect
   | Spill_insert
@@ -16,8 +15,8 @@ type t =
   | Task
 
 let all =
-  [ Alloc; Pass; Lint; Build; Liveness; Coalesce; Scan; Simplify;
-    Par_simplify; Color; Spill_elect; Spill_insert; Rewrite; Verify; Task ]
+  [ Alloc; Pass; Lint; Build; Liveness; Coalesce; Scan; Simplify; Color;
+    Spill_elect; Spill_insert; Rewrite; Verify; Task ]
 
 let count = List.length all
 
@@ -30,13 +29,12 @@ let index = function
   | Coalesce -> 5
   | Scan -> 6
   | Simplify -> 7
-  | Par_simplify -> 8
-  | Color -> 9
-  | Spill_elect -> 10
-  | Spill_insert -> 11
-  | Rewrite -> 12
-  | Verify -> 13
-  | Task -> 14
+  | Color -> 8
+  | Spill_elect -> 9
+  | Spill_insert -> 10
+  | Rewrite -> 11
+  | Verify -> 12
+  | Task -> 13
 
 let name = function
   | Alloc -> "alloc"
@@ -47,7 +45,6 @@ let name = function
   | Coalesce -> "coalesce"
   | Scan -> "scan"
   | Simplify -> "simplify"
-  | Par_simplify -> "par-simplify"
   | Color -> "color"
   | Spill_elect -> "spill-elect"
   | Spill_insert -> "spill-insert"

@@ -14,7 +14,6 @@ type t =
   | Coalesce  (** the copy-coalescing scan of a fixpoint round *)
   | Scan  (** a per-block edge scan (domain-tagged when pooled) *)
   | Simplify  (** the paper's Simplify *)
-  | Par_simplify  (** a speculative parallel peeling run inside Simplify *)
   | Color  (** the paper's Select *)
   | Spill_elect  (** expanding spill decisions into web groups *)
   | Spill_insert  (** spill-code insertion (the paper's Spill) *)

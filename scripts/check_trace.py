@@ -15,18 +15,12 @@ Checks, in order:
      Under `--heuristic irc` the worklist engine's `coalesce` span
      subsumes `simplify` (simplification and coalescing interleave in
      one loop), so either name satisfies that slot (spill phases appear
-     only when something spills in either shape; `par-color` /
-     `par-simplify` spans appear only when the parallel engines clear
-     their node-count floors and engage);
+     only when something spills in either shape);
   4. when more than one domain participated, at least one pooled `scan`
-     or stolen `task` span is tagged with a non-main tid;
-  5. every counter named by a --require-counter flag has at least one
-     sample and a positive final total — the way a CI job asserts "the
-     parallel engines actually engaged on this run" rather than merely
-     "the trace looked well-formed".
+     or stolen `task` span is tagged with a non-main tid.
 
 Exit status 0 on success; 1 with a message on the first violation.
-Usage: check_trace.py [--require-counter NAME]... TRACE.json
+Usage: check_trace.py TRACE.json
 """
 
 import json
@@ -38,7 +32,7 @@ def fail(msg):
     sys.exit(1)
 
 
-def main(path, require_counters=()):
+def main(path):
     try:
         with open(path) as f:
             events = json.load(f)
@@ -120,30 +114,7 @@ def main(path, require_counters=()):
                 "stolen 'task' span carries a worker tid"
             )
 
-    # Counter samples carry the running total in args under the counter's
-    # own name; "positive total" is therefore the max across samples.
-    totals = {}
-    for e in events:
-        if e.get("ph") == "C":
-            for v in (e.get("args") or {}).values():
-                if isinstance(v, (int, float)):
-                    name = e.get("name", "")
-                    totals[name] = max(totals.get(name, 0), v)
-    for name in require_counters:
-        if name not in totals:
-            fail(
-                f"required counter {name!r} has no samples "
-                f"(counters present: {sorted(totals) or 'none'})"
-            )
-        if totals[name] <= 0:
-            fail(f"required counter {name!r} total is {totals[name]}, not positive")
-
     n_counters = sum(1 for e in events if e.get("ph") == "C")
-    if require_counters:
-        print(
-            "check_trace: required counters OK — "
-            + ", ".join(f"{n}={totals[n]}" for n in require_counters)
-        )
     print(
         f"check_trace: OK — {len(events)} events, {len(spans)} spans, "
         f"{n_counters} counter samples, {len(tids)} domain track(s), "
@@ -152,22 +123,6 @@ def main(path, require_counters=()):
 
 
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    require = []
-    paths = []
-    i = 0
-    while i < len(args):
-        if args[i] == "--require-counter":
-            if i + 1 >= len(args):
-                fail("--require-counter needs a NAME argument")
-            require.append(args[i + 1])
-            i += 2
-        elif args[i].startswith("--require-counter="):
-            require.append(args[i].split("=", 1)[1])
-            i += 1
-        else:
-            paths.append(args[i])
-            i += 1
-    if len(paths) != 1:
-        fail("usage: check_trace.py [--require-counter NAME]... TRACE.json")
-    main(paths[0], require)
+    if len(sys.argv) != 2:
+        fail("usage: check_trace.py TRACE.json")
+    main(sys.argv[1])

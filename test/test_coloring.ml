@@ -265,32 +265,70 @@ let prop_select_respects_order_contract =
       && List.for_all (fun m -> colors.(m) = None) marked
       && List.for_all (fun o -> colors.(o) <> None) order)
 
-let prop_par_select_is_drop_in =
-  (* the speculative engine's allocator-facing wrapper must be a drop-in
-     for Coloring.select under every heuristic: colors AND spill
-     decisions unchanged. Graphs this small stay on the engine's tuned
-     sequential path (the sharded path needs a long order — exercised
-     in Test_synth); what this property pins down is the wrapper's
-     contract, with verify cross-checking against Coloring.select on
-     every run. *)
-  QCheck.Test.make
-    ~name:"par_color select is a drop-in for Coloring.select" ~count:60
-    (QCheck.pair graph_arb (QCheck.make QCheck.Gen.(int_range 2 8)))
-    (fun ((seed, n, density), k) ->
-      let g = random_graph seed n density in
-      let costs = Array.init n (fun i -> float_of_int (1 + (i * 7 mod 13))) in
-      let pool = Ra_support.Pool.create ~jobs:2 in
-      Par_color.set_min_nodes (Some 1);
-      Fun.protect
-        ~finally:(fun () ->
-          Par_color.set_min_nodes None;
-          Ra_support.Pool.shutdown pool)
-        (fun () ->
-          List.for_all
-            (fun h ->
-              Heuristic.run h g ~k ~costs
-              = Heuristic.run ~pool ~verify:true h g ~k ~costs)
-            [ Heuristic.Chaitin; Heuristic.Briggs; Heuristic.Matula ]))
+(* The reference Select: the paper's recurrence transliterated with
+   option colors and a boolean scratch that a second neighbor sweep per
+   node resets. [Coloring.select] is the tuned form of the same loop
+   (int colors, a stamp-versioned scratch, one sweep per node). *)
+let reference_select (g : Igraph.t) ~k ~order : Coloring.select_result =
+  let colors = Array.make (Igraph.n_nodes g) None in
+  for p = 0 to Igraph.n_precolored g - 1 do
+    colors.(p) <- Some p
+  done;
+  let uncolored = ref [] in
+  let in_use = Array.make (max k 1) false in
+  let mark node v =
+    Igraph.iter_neighbors g node ~f:(fun nb ->
+      match colors.(nb) with
+      | Some c when c < k -> in_use.(c) <- v
+      | Some _ | None -> ())
+  in
+  List.iter
+    (fun node ->
+      mark node true;
+      let rec first_free c =
+        if c >= k then None else if in_use.(c) then first_free (c + 1) else Some c
+      in
+      (match first_free 0 with
+       | Some c -> colors.(node) <- Some c
+       | None -> uncolored := node :: !uncolored);
+      mark node false)
+    (List.rev order);
+  { Coloring.colors; uncolored = List.rev !uncolored }
+
+(* A random graph with up to 4 machine registers, a k from 1 (most
+   nodes blocked) to 8 — below the register count too, so some
+   precolored neighbors carry colors >= k — and a removal order over a
+   random subset of the other nodes, as Chaitin's marked spills leave
+   out of it. *)
+let select_case_arb =
+  QCheck.make
+    ~print:(fun (seed, n, density, (pre, k)) ->
+      Printf.sprintf "seed=%d n=%d density=%d precolored=%d k=%d" seed n
+        density pre k)
+    QCheck.Gen.(
+      quad (int_bound 1000000) (int_range 2 40) (int_range 5 60)
+        (pair (int_range 0 4) (int_range 1 8)))
+
+let prop_select_matches_reference =
+  QCheck.Test.make ~name:"select equals the reference Select" ~count:300
+    select_case_arb
+    (fun (seed, n, density, (pre, k)) ->
+      let pre = min pre (n - 1) in
+      let rng = Ra_support.Lcg.create ~seed in
+      let g = Igraph.create ~n_nodes:n ~n_precolored:pre in
+      for a = 0 to n - 1 do
+        for b = a + 1 to n - 1 do
+          if Ra_support.Lcg.int rng 100 < density then Igraph.add_edge g a b
+        done
+      done;
+      let nodes = Array.init (n - pre) (fun i -> pre + i) in
+      Ra_support.Lcg.shuffle rng nodes;
+      let order =
+        List.filter
+          (fun _ -> Ra_support.Lcg.int rng 4 > 0)
+          (Array.to_list nodes)
+      in
+      Coloring.select g ~k ~order = reference_select g ~k ~order)
 
 let suites =
   [ ( "core.igraph",
@@ -321,4 +359,4 @@ let suites =
         qtest prop_colorings_always_proper;
         qtest prop_matula_colors_low_degeneracy;
         qtest prop_select_respects_order_contract;
-        qtest prop_par_select_is_drop_in ] ) ]
+        qtest prop_select_matches_reference ] ) ]

@@ -319,6 +319,36 @@ let prop_edge_cache_equals_scratch =
             [ true; false ])
         heuristics)
 
+let suite_allocations_unchanged () =
+  (* two real suite programs through a context whose builds run on the
+     shared pool, with and without the edge cache: every fingerprint
+     must match the sequential allocation *)
+  let machine = Machine.rt_pc in
+  List.iter
+    (fun (prog : Ra_programs.Suite.program) ->
+      List.iter
+        (fun (p : Proc.t) ->
+          let base =
+            Allocator.allocate
+              ~context:(Context.create ~jobs:1 machine)
+              machine Heuristic.Briggs p
+          in
+          List.iter
+            (fun edge_cache ->
+              let par =
+                Allocator.allocate
+                  ~context:(Context.create ~edge_cache ~jobs:4 machine)
+                  machine Heuristic.Briggs p
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s cache=%b identical"
+                   prog.Ra_programs.Suite.pname p.Proc.name edge_cache)
+                true
+                (fingerprint par = fingerprint base))
+            [ true; false ])
+        (Ra_programs.Suite.compile prog))
+    [ Ra_programs.Suite.quicksort; Ra_programs.Suite.find "EULER" ]
+
 let suites =
   [ ( "core.context",
       [ Alcotest.test_case "incremental equals scratch" `Quick
@@ -331,6 +361,8 @@ let suites =
           escape_hatch_disables_patching;
         Alcotest.test_case "edge cache reused across passes" `Quick
           edge_cache_reused_across_passes;
+        Alcotest.test_case "suite allocations unchanged" `Slow
+          suite_allocations_unchanged;
         qtest prop_incremental_equals_scratch;
         qtest prop_parallel_equals_sequential;
         qtest prop_edge_cache_equals_scratch ] ) ]
