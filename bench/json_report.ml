@@ -14,20 +14,18 @@
    records the cached run's coalescing-round count, edge-cache hit rate
    and fraction of blocks rescanned. It also times the FULL benchmark
    suite (every routine, every heuristic, regardless of picks) end to
-   end three ways — sequentially on one warm context, procedure-per-task
-   on the flat pool (RA_SCHED=flat), and as the footprint-ordered task
-   DAG on the work-stealing scheduler (RA_SCHED=dag, the default) — and
-   records the DAG run's scheduler counters (tasks, steals, derived
-   edges, queue high-water mark, per-domain utilization). The DAG wall
-   must beat the sequential wall — a slower scheduler is a regression
-   and the process exits non-zero. It also times the suite with
+   end two ways — sequentially on one warm context, and as the
+   procedure × heuristic matrix ({!Batch.allocate_matrix}: first-pass
+   builds shared across heuristics, spread over a pool). The matrix
+   wall must beat the sequential wall — a slower matrix is a
+   regression and the process exits non-zero. It also times the suite with
    telemetry disabled versus buffering every span, asserting the
    disabled path stays free. Aggregate cache behaviour comes straight
    off the pipeline's telemetry counters (the cached context reports
    into a sink). Any disagreement is a divergence: it is reported in the
    JSON and the process exits non-zero (CI runs this as a smoke check
    with RA_JOBS=4, so zero divergences is asserted for the parallel,
-   cached and DAG paths on every push). *)
+   cached and matrix paths on every push). *)
 
 open Ra_core
 
@@ -150,11 +148,10 @@ let run ~picks () =
   let machine = Machine.rt_pc in
   (* at least 2 workers so the parallel path is exercised — and asserted
      against the sequential builds — even on a single-core runner. The
-     default is pinned before anything touches the shared pool or the
-     global scheduler, fixing both at this width. The suite-wall
-     scheduler below is sized to [hw_jobs], the machine's real width:
-     oversubscribing domains onto fewer cores measures contention, not
-     scheduling. *)
+     default is pinned before anything touches the shared pool, fixing
+     it at this width. The suite-wall matrix pool below is sized to
+     [hw_jobs], the machine's real width: oversubscribing domains onto
+     fewer cores measures contention, not scheduling. *)
   let hw_jobs = Ra_support.Pool.default_jobs () in
   let jobs = max 2 hw_jobs in
   Ra_support.Pool.set_default_jobs jobs;
@@ -300,13 +297,12 @@ let run ~picks () =
   (* suite-level wall-clock over the FULL suite — every routine of every
      program, however narrow the picks above were (a four-routine wall
      says nothing about scheduling) — end to end, every heuristic:
-     sequentially on one warm context, procedure-per-task on the flat
-     pool, and as the footprint-ordered task DAG. Min of [wall_reps]
-     walls per mode; the DAG rep that sets the minimum keeps its
-     scheduler counters. The first sequential and DAG reps must agree
-     on every fingerprint (bit-identical outcomes), and the DAG wall
-     must beat the sequential one — that gate is the point of the
-     scheduler. *)
+     sequentially on one warm context, and as the matrix on a pool of
+     the machine's width (first-pass builds shared across heuristics).
+     Min of [wall_reps] walls per mode. The first sequential and matrix
+     reps must agree on every fingerprint (bit-identical outcomes), and
+     the matrix wall must beat the sequential one — that gate is the
+     point of the matrix. *)
   (* Routines a measured heuristic cannot allocate on this machine at
      all (cost-blind Matula gives up on euler_main's call-heavy k=16
      pressure — a known, goldened failure) would abort every mode's
@@ -361,31 +357,20 @@ let run ~picks () =
     if s < !seq_s then seq_s := s
   done;
   let seq_s = !seq_s in
-  let flat_s =
-    min_wall (fun () ->
-      ignore
-        (Batch.allocate_matrix ~sched:Batch.Flat machine heuristics
-           suite_procs))
-  in
-  let sched = Ra_support.Scheduler.create ~jobs:hw_jobs in
-  let dag_s = ref infinity in
-  let dag_stats = ref (Ra_support.Scheduler.stats sched) in
+  let matrix_pool = Ra_support.Pool.create ~jobs:hw_jobs in
+  let matrix_s = ref infinity in
   for r = 1 to wall_reps do
-    Ra_support.Scheduler.reset_stats sched;
     let res, s =
       wall (fun () ->
-        Batch.allocate_matrix ~sched:Batch.Dag ~scheduler:sched machine
-          heuristics suite_procs)
+        Batch.allocate_matrix ~scheduler:matrix_pool machine heuristics
+          suite_procs)
     in
     if r = 1 && List.map (List.map fingerprint) res <> !seq_fps then
-      divergences := "suite/dag" :: !divergences;
-    if s < !dag_s then begin
-      dag_s := s;
-      dag_stats := Ra_support.Scheduler.stats sched
-    end
+      divergences := "suite/matrix" :: !divergences;
+    if s < !matrix_s then matrix_s := s
   done;
-  Ra_support.Scheduler.shutdown sched;
-  let dag_s = !dag_s and dag_stats = !dag_stats in
+  Ra_support.Pool.shutdown matrix_pool;
+  let matrix_s = !matrix_s in
   (* per-heuristic suite figures: wall, total spills, removed/coalesced
      moves — one warm sequential context per heuristic, min-of-reps
      walls, first-rep results (deterministic; the fingerprint gates
@@ -500,9 +485,8 @@ let run ~picks () =
   (* race-check overhead: with the flag off every access hook is a
      single ref load, so the uninstrumented-off path must track the
      plain run; with it on, the suite must come back race-clean. The
-     checked rep runs as the task DAG so the vector-clock analyzer
-     validates the footprint-derived schedule itself — every shared
-     access must be ordered by a derived edge. *)
+     checked rep runs the matrix, so the analyzer also sees the shared
+     first-pass builds read by concurrent cells. *)
   let race_off_s = min_wall (fun () -> alloc_all (Context.create ~jobs:1 machine)) in
   let race_errors = ref 0 in
   let race_on_s =
@@ -520,8 +504,7 @@ let run ~picks () =
       let _, diags =
         Ra_check.Race.with_check (fun () ->
           ignore
-            (Batch.allocate_matrix ~sched:Batch.Dag machine heuristics
-               race_procs))
+            (Batch.allocate_matrix machine heuristics race_procs))
       in
       race_errors := List.length (Ra_check.Diagnostic.errors diags))
   in
@@ -562,23 +545,11 @@ let run ~picks () =
   let aca_hits = Ra_analysis.Analysis_cache.hits aca in
   let aca_misses = Ra_analysis.Analysis_cache.misses aca in
   let aca_lookups = aca_hits + aca_misses in
-  let utilization =
-    String.concat ", "
-      (Array.to_list
-         (Array.map
-            (fun busy ->
-              Printf.sprintf "%.4f" (busy /. Float.max dag_s 1e-9))
-            dag_stats.Ra_support.Scheduler.busy_s))
-  in
   Buffer.add_string buf
     (Printf.sprintf
        "\n  ],\n  \"jobs\": %d,\n  \"suite\": {\"routines\": %d, \
         \"excluded\": [%s], \"sequential_wall_s\": %.6f, \
-        \"flat_wall_s\": %.6f, \"dag_wall_s\": %.6f, \
-        \"parallel_wall_s\": %.6f,\n    \
-        \"sched\": {\"jobs\": %d, \"tasks\": %d, \"steals\": %d, \
-        \"edges\": %d, \"max_queue_depth\": %d, \
-        \"utilization\": [%s]}},\n  \
+        \"matrix_wall_s\": %.6f, \"matrix_jobs\": %d},\n  \
         \"per_heuristic\": [%s\n  ],\n  \
         \"irc_gates\": {\"spill_violations\": [%s], \
         \"move_heavy_routines\": %d, \"move_wins\": %d},\n  \
@@ -605,10 +576,7 @@ let run ~picks () =
                   \"reason\": \"%s\"}"
                  routine heuristic (json_escape reason))
              probe_failures))
-       seq_s flat_s dag_s dag_s hw_jobs dag_stats.Ra_support.Scheduler.tasks
-       dag_stats.Ra_support.Scheduler.steals
-       dag_stats.Ra_support.Scheduler.edges
-       dag_stats.Ra_support.Scheduler.max_queue_depth utilization
+       seq_s matrix_s hw_jobs
        per_heuristic_json
        (String.concat ", "
           (List.map
@@ -640,9 +608,9 @@ let run ~picks () =
   close_out oc;
   Printf.printf
     "wrote %s (%d benchmark entries, %d jobs, full suite %.3fs seq / %.3fs \
-     flat / %.3fs dag, telemetry off %.3fs / on %.3fs, cache hit rate %s, %d \
+     matrix, telemetry off %.3fs / on %.3fs, cache hit rate %s, %d \
      divergence(s))\n"
-    path !entries jobs seq_s flat_s dag_s tele_off_s tele_on_s
+    path !entries jobs seq_s matrix_s tele_off_s tele_on_s
     (if total_scans = 0 then "n/a"
      else
        Printf.sprintf "%.1f%%"
@@ -663,13 +631,14 @@ let run ~picks () =
       (List.rev !divergences);
     exit 1
   end;
-  (* the scheduler's reason to exist: the DAG dispatch of the full suite
-     must beat allocating it sequentially, or the PR regressed *)
-  if dag_s >= seq_s then begin
+  (* the matrix's reason to exist: sharing first-pass builds and
+     spreading the suite over the pool must beat allocating it
+     sequentially, or the change regressed *)
+  if matrix_s >= seq_s then begin
     Printf.eprintf
-      "suite: DAG wall %.6fs >= sequential wall %.6fs — the task-DAG \
-       schedule is not paying for itself\n"
-      dag_s seq_s;
+      "suite: matrix wall %.6fs >= sequential wall %.6fs — the shared \
+       first-pass matrix is not paying for itself\n"
+      matrix_s seq_s;
     exit 1
   end;
   (* the IRC gates: conservative coalescing must be safe (never a spill

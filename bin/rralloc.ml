@@ -100,20 +100,6 @@ let trace_arg =
                (about://tracing / Perfetto), or JSON lines when PATH \
                ends in .jsonl (same as setting RA_TRACE=PATH)")
 
-let sched_arg =
-  Arg.(value & opt (some (enum [ "dag", Ra_core.Batch.Dag;
-                                 "flat", Ra_core.Batch.Flat ]))
-         None
-       & info [ "sched" ] ~docv:"MODE"
-           ~doc:"Multi-procedure scheduling: 'dag' (default) runs every \
-                 pipeline stage as a footprint-ordered task on the \
-                 work-stealing scheduler, sharing each procedure's \
-                 first-pass graph build across heuristics; 'flat' \
-                 dispatches whole procedures onto the domain pool (same \
-                 as RA_SCHED). Results are bit-identical either way.")
-
-let apply_sched sched = Option.iter Ra_core.Batch.set_sched_mode sched
-
 (* None = follow the RA_EDGE_CACHE default; Some false = --no-edge-cache *)
 let edge_cache_opt no_cache = if no_cache then Some false else None
 
@@ -135,32 +121,19 @@ let race_scope race f =
   else f ()
 
 (* --jobs overrides RA_JOBS for everything downstream (the shared pool is
-   created lazily, after this runs). Returns the pool for drivers that
-   dispatch whole procedures, or None when sequential. *)
-let apply_jobs jobs =
-  (match jobs with Some j -> Ra_support.Pool.set_default_jobs j | None -> ());
-  if Ra_support.Pool.default_jobs () > 1 then Some (Ra_support.Pool.global ())
-  else None
+   created lazily, after this runs). *)
+let apply_jobs jobs = Option.iter Ra_support.Pool.set_default_jobs jobs
 
-(* One heuristic over a procedure batch under the selected scheduling
-   mode: the DAG matrix (stage tasks, shared first-pass builds) by
-   default, the flat procedure-per-task pool under --sched flat. An
-   allocation that cannot be completed (a routine with no legal
-   coloring, or one --verify rejects) is reported, not raised: the
-   first stderr line names the routine and the reason, and the exit
-   code is 2. *)
-let allocate_batch ?edge_cache ?verify ~pool machine h procs =
-  try
-    match Ra_core.Batch.sched_mode () with
-    | Ra_core.Batch.Dag ->
-      (match
-         Ra_core.Batch.allocate_matrix ?edge_cache ?verify machine [ h ] procs
-       with
-       | [ results ] -> results
-       | _ -> assert false)
-    | Ra_core.Batch.Flat ->
-      Ra_core.Batch.allocate_all ~pool ?edge_cache ?verify machine h procs
-  with Ra_core.Allocator.Allocation_failure reason ->
+(* One heuristic over a procedure batch: a one-column matrix, so each
+   routine is one task on the shared pool. An allocation that cannot be
+   completed (a routine with no legal coloring, or one --verify rejects)
+   is reported, not raised: the first stderr line names the routine and
+   the reason, and the exit code is 2. *)
+let allocate_batch ?edge_cache ?verify machine h procs =
+  match Ra_core.Batch.allocate_matrix ?edge_cache ?verify machine [ h ] procs with
+  | [ results ] -> results
+  | _ -> assert false
+  | exception Ra_core.Allocator.Allocation_failure reason ->
     Printf.eprintf "rralloc: allocation failed under %s: %s\n"
       (Ra_core.Heuristic.name h) reason;
     exit 2
@@ -201,16 +174,15 @@ let dump_cmd =
 
 let alloc_cmd =
   let run file proc heuristic k verbose optimize verify jobs no_cache race
-      trace sched =
+      trace =
     apply_trace trace;
-    apply_sched sched;
-    let pool = apply_jobs jobs in
+    apply_jobs jobs;
     let machine = machine_of_k k in
     let h = heuristic_of_name heuristic in
     let procs = select_procs (compile ~optimize file) proc in
     let results =
       race_scope race (fun () ->
-        allocate_batch ~pool
+        allocate_batch
           ?edge_cache:(edge_cache_opt no_cache)
           ?verify:(if verify then Some true else None)
           machine h procs)
@@ -234,7 +206,7 @@ let alloc_cmd =
   Cmd.v (Cmd.info "alloc" ~doc:"Register-allocate and report statistics")
     Term.(const run $ file_arg $ proc_arg $ heuristic_arg $ k_arg $ verbose
           $ opt_arg $ verify_arg $ jobs_arg $ no_cache_arg $ race_arg
-          $ trace_arg $ sched_arg)
+          $ trace_arg)
 
 (* ---- run ---- *)
 
@@ -250,10 +222,9 @@ let parse_value s =
 
 let run_cmd =
   let run file entry args heuristic allocate k optimize verify jobs no_cache
-      race trace sched =
+      race trace =
     apply_trace trace;
-    apply_sched sched;
-    let pool = apply_jobs jobs in
+    apply_jobs jobs;
     let procs = compile ~optimize file in
     let procs =
       if allocate then begin
@@ -262,7 +233,7 @@ let run_cmd =
         List.map
           (fun (r : Ra_core.Allocator.result) -> r.Ra_core.Allocator.proc)
           (race_scope race (fun () ->
-             allocate_batch ~pool
+             allocate_batch
                ?edge_cache:(edge_cache_opt no_cache)
                ?verify:(if verify then Some true else None)
                machine h procs))
@@ -297,15 +268,14 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Execute a procedure under the VM")
     Term.(const run $ file_arg $ entry $ args $ heuristic_arg $ allocate
           $ k_arg $ opt_arg $ verify_arg $ jobs_arg $ no_cache_arg
-          $ race_arg $ trace_arg $ sched_arg)
+          $ race_arg $ trace_arg)
 
 (* ---- suite ---- *)
 
 let suite_cmd =
-  let run name heuristic k allocate jobs no_cache race trace sched =
+  let run name heuristic k allocate jobs no_cache race trace =
     apply_trace trace;
-    apply_sched sched;
-    let pool = apply_jobs jobs in
+    apply_jobs jobs;
     let program =
       match
         List.find_opt
@@ -331,7 +301,7 @@ let suite_cmd =
         List.map
           (fun (r : Ra_core.Allocator.result) -> r.Ra_core.Allocator.proc)
           (race_scope race (fun () ->
-             allocate_batch ~pool
+             allocate_batch
                ?edge_cache:(edge_cache_opt no_cache) machine h procs))
       end
       else procs
@@ -358,7 +328,7 @@ let suite_cmd =
   in
   Cmd.v (Cmd.info "suite" ~doc:"Run a benchmark-suite program under the VM")
     Term.(const run $ prog_name $ heuristic_arg $ k_arg $ allocate $ jobs_arg
-          $ no_cache_arg $ race_arg $ trace_arg $ sched_arg)
+          $ no_cache_arg $ race_arg $ trace_arg)
 
 (* ---- synth ---- *)
 
@@ -389,10 +359,9 @@ let synth_cmd =
 (* ---- compare ---- *)
 
 let compare_cmd =
-  let run file k optimize jobs no_cache race trace sched =
+  let run file k optimize jobs no_cache race trace =
     apply_trace trace;
-    apply_sched sched;
-    ignore (apply_jobs jobs);
+    apply_jobs jobs;
     let machine = machine_of_k k in
     let procs = compile ~optimize file in
     let hs =
@@ -424,8 +393,8 @@ let compare_cmd =
     let fully_allocatable (_, cells) = List.for_all Result.is_ok cells in
     let matrix_procs = List.filter fully_allocatable probed in
     let matrix =
-      (* the comparison matrix proper: under the DAG each procedure's
-         first-pass build is shared by all four heuristic pipelines *)
+      (* the comparison matrix proper: each procedure's first-pass
+         build is shared by chaitin, briggs and matula *)
       race_scope race (fun () ->
         Ra_core.Batch.allocate_matrix ?edge_cache:(edge_cache_opt no_cache)
           machine hs
@@ -494,7 +463,7 @@ let compare_cmd =
        ~doc:"Per-procedure spill statistics across all four heuristics \
              (chaitin, briggs, matula, irc)")
     Term.(const run $ file_arg $ k_arg $ opt_arg $ jobs_arg $ no_cache_arg
-          $ race_arg $ trace_arg $ sched_arg)
+          $ race_arg $ trace_arg)
 
 let () =
   let info = Cmd.info "rralloc" ~doc:"Briggs-style graph-coloring register allocator" in

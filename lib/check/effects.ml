@@ -57,20 +57,4 @@ let validate metas =
   in
   first 0 1
 
-(* The DAG scheduler's edge-derivation rule, exposed for tests and
-   diagnostics: the pairs of a task sequence that must serialize, i.e.
-   that [Scheduler.submit] would connect with a dependency edge. Unlike
-   {!check} this is not a rejection — a conflicting pair in a DAG is
-   legal, it just runs in submission order. *)
-let edges (metas : Pool.task_meta array) =
-  let rev = ref [] in
-  let n = Array.length metas in
-  for j = 1 to n - 1 do
-    for i = j - 1 downto 0 do
-      if Footprint.conflicts metas.(i).tm_footprint metas.(j).tm_footprint
-      then rev := (i, j) :: !rev
-    done
-  done;
-  List.sort compare !rev
-
 let install () = Pool.set_validator validate

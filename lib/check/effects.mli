@@ -19,13 +19,6 @@ val check : Ra_support.Pool.task_meta array -> Diagnostic.t list
     shape {!Ra_support.Pool.set_validator} expects. *)
 val validate : Ra_support.Pool.task_meta array -> unit
 
-(** The DAG scheduler's edge-derivation rule over a task sequence: the
-    pairs [(i, j)] with [i < j] whose footprints conflict (either side
-    writes something the other touches), i.e. exactly the dependency
-    edges [Ra_support.Scheduler.submit] derives when the tasks are
-    submitted in array order. Sorted lexicographically. *)
-val edges : Ra_support.Pool.task_meta array -> (int * int) list
-
 (** Install {!validate} as the process-wide pool dispatch validator.
     Idempotent; called by [Context.create]. *)
 val install : unit -> unit

@@ -61,23 +61,9 @@ type batch = {
   mutable b_threads : int list; (* task threads seen so far *)
 }
 
-(* A DAG-scheduler task (Node_* events). Where a batch task inherits
-   exactly its submitter's snapshot, a node additionally merges the end
-   state of every resolved dependency edge at start — the edges the
-   scheduler derived from footprint conflicts ARE the happens-before
-   being validated: drop one and the accesses it ordered race. *)
-type node = {
-  nd_name : string;
-  nd_submit_vc : int IntMap.t;
-  nd_deps : int list;
-  mutable nd_thread : int option; (* executing thread, once started *)
-  mutable nd_end : (int IntMap.t * int) option; (* (vc, clock) at end *)
-}
-
 type state = {
   threads : (int, thread) Hashtbl.t;
   batches : (int, batch) Hashtbl.t;
-  nodes : (int, node) Hashtbl.t;
   surrogate : (int, int * int) Hashtbl.t; (* dead task -> (parent, clock) *)
   locations : (Footprint.key, location) Hashtbl.t;
   creator : (int, int) Hashtbl.t; (* object uid -> creating thread *)
@@ -93,7 +79,6 @@ type state = {
 let fresh_state () =
   { threads = Hashtbl.create 256;
     batches = Hashtbl.create 64;
-    nodes = Hashtbl.create 256;
     surrogate = Hashtbl.create 256;
     locations = Hashtbl.create 1024;
     creator = Hashtbl.create 256;
@@ -248,70 +233,6 @@ let step st (ev : Race_log.event) =
          (fun t -> Hashtbl.replace st.surrogate t (submitter, s.clock))
          b.b_threads;
        s.clock <- s.clock + 1)
-  | Node_submit { node; submitter; name; deps } ->
-    st.n_sync <- st.n_sync + 1;
-    let s = thread_state st submitter in
-    let submit_vc = IntMap.add submitter s.clock s.vc in
-    (* as with batches: the submitter's later accesses are not ordered
-       before the node *)
-    s.clock <- s.clock + 1;
-    Hashtbl.replace st.nodes node
-      { nd_name = name;
-        nd_submit_vc = submit_vc;
-        nd_deps = deps;
-        nd_thread = None;
-        nd_end = None }
-  | Node_start { node; thread } ->
-    st.n_sync <- st.n_sync + 1;
-    (match Hashtbl.find_opt st.nodes node with
-     | None -> () (* submit fell outside the logging scope: untracked *)
-     | Some nd ->
-       (* start knowledge = submitter's snapshot ⊔ every dependency's
-          end state. A dependency that never ran (skipped after a
-          failure, or submitted outside the scope) contributes nothing;
-          by log order a dependency that did run has ended by now. *)
-       let vc =
-         List.fold_left
-           (fun vc dep ->
-             match Hashtbl.find_opt st.nodes dep with
-             | Some { nd_thread = Some dt; nd_end = Some (dvc, dc); _ } ->
-               let vc =
-                 IntMap.union (fun _ a b -> Some (max a b)) vc dvc
-               in
-               IntMap.update dt
-                 (function
-                   | Some c -> Some (max c dc)
-                   | None -> Some dc)
-                 vc
-             | Some _ | None -> vc)
-           nd.nd_submit_vc nd.nd_deps
-       in
-       nd.nd_thread <- Some thread;
-       Hashtbl.replace st.threads thread
-         { id = thread;
-           vc;
-           clock = 0;
-           (* stage tasks declare no concrete footprint — conformance
-              is vacuous; ordering is what the node events check *)
-           info = Some { Race_log.t_name = nd.nd_name; t_footprint = None } })
-  | Node_end { node; thread } ->
-    (match Hashtbl.find_opt st.nodes node with
-     | None -> ()
-     | Some nd ->
-       let t = thread_state st thread in
-       nd.nd_end <- Some (t.vc, t.clock))
-  | Graph_join { submitter; nodes } ->
-    st.n_sync <- st.n_sync + 1;
-    let s = thread_state st submitter in
-    (* as at a batch join: one surrogate edge per drained node *)
-    List.iter
-      (fun n ->
-        match Hashtbl.find_opt st.nodes n with
-        | Some { nd_thread = Some t; _ } ->
-          Hashtbl.replace st.surrogate t (submitter, s.clock)
-        | Some _ | None -> ())
-      nodes;
-    s.clock <- s.clock + 1
   | Created { thread; uid } -> Hashtbl.replace st.creator uid thread
   | Access { thread; key; write } ->
     st.n_accesses <- st.n_accesses + 1;

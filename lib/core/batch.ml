@@ -41,130 +41,107 @@ let allocate_all ?pool ?context ?edge_cache ?verify machine heuristic procs =
   map_procs ?pool ?context ?edge_cache machine procs ~f:(fun ctx proc ->
     Allocator.allocate ?verify ~context:ctx machine heuristic proc)
 
-(* ---- the scheduling mode (RA_SCHED) ---- *)
-
-type sched_mode =
-  | Dag (* footprint-ordered stage tasks on the work-stealing scheduler *)
-  | Flat (* procedure-per-task batches on the domain pool (the escape hatch) *)
-
-let sched_mode_env () =
-  match Sys.getenv_opt "RA_SCHED" with
-  | Some "flat" -> Flat
-  | None | Some _ -> Dag
-
-(* Set once by drivers with a [--sched] flag; results are bit-identical
-   either way, so this only moves work between domains. *)
-let sched_override = ref None
-
-let set_sched_mode m = sched_override := Some m
-
-let sched_mode () =
-  match !sched_override with Some m -> m | None -> sched_mode_env ()
-
 let verify_default =
   match Sys.getenv_opt "RA_VERIFY" with
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-(* Transpose a per-procedure list of per-heuristic cells into the
-   per-heuristic result lists the callers want. *)
-let transpose ~n_heuristics rows =
-  List.init n_heuristics (fun j -> List.map (fun row -> List.nth row j) rows)
+let result_of heuristic machine (o : Pipeline.outcome) : Allocator.result =
+  { Allocator.proc = o.Pipeline.proc;
+    heuristic;
+    machine;
+    passes = o.Pipeline.passes;
+    live_ranges = o.Pipeline.live_ranges;
+    total_spilled = o.Pipeline.total_spilled;
+    total_spill_cost = o.Pipeline.total_spill_cost;
+    moves_removed = o.Pipeline.moves_removed }
 
 let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
     ?(spill_base = Spill_costs.default_base) ?(rematerialize = true)
-    ?(verify = verify_default) ?edge_cache ?sched ?scheduler ?tele machine
+    ?(verify = verify_default) ?edge_cache ?scheduler ?tele machine
     heuristics (procs : Proc.t list) : Allocator.result list list =
-  let mode = match sched with Some m -> m | None -> sched_mode () in
-  match mode with
-  | Flat ->
-    (* one batch per heuristic over the flat pool: the pre-DAG shape *)
-    List.map
-      (fun heuristic ->
-        allocate_all ?edge_cache ~verify machine heuristic procs)
-      heuristics
-  | Dag ->
-    let open Ra_support in
-    let cfgn =
-      { Pipeline.coalesce; max_passes; spill_base; rematerialize; verify }
+  let open Ra_support in
+  let cfgn =
+    { Pipeline.coalesce; max_passes; spill_base; rematerialize; verify }
+  in
+  let pool = match scheduler with Some p -> p | None -> Pool.global () in
+  let tele = match tele with Some t -> t | None -> Telemetry.ambient () in
+  if Telemetry.enabled tele then Pool.set_telemetry pool tele;
+  (* a group's shared build shards its block scan on the same pool *)
+  let bpool = if Pool.jobs pool > 1 then Some pool else None in
+  (* Group the heuristics (with their column) by the first-pass Build
+     they need: Chaitin, Briggs and Matula share one; each irc cell
+     builds its own, because its conservative merges write the build's
+     alias forest. Matula leads its group: its cost-blind order spills
+     the most, so its cell is the longest, and starting it first keeps
+     it off the tail of the schedule. *)
+  let shared, own =
+    List.partition
+      (fun (_, h) -> h <> Heuristic.Irc)
+      (List.mapi (fun j h -> j, h) heuristics)
+  in
+  let shared =
+    let matula, rest =
+      List.partition (fun (_, h) -> h = Heuristic.Matula) shared
     in
-    let sched =
-      match scheduler with Some s -> s | None -> Scheduler.global ()
-    in
-    let tele =
-      match tele with Some t -> t | None -> Telemetry.ambient ()
-    in
-    if Telemetry.enabled tele then Scheduler.set_telemetry sched tele;
-    (* the shared build's block scan shards onto the same scheduler via
-       the pool façade, interleaving with the stage tasks *)
-    let bpool =
-      if Scheduler.jobs sched > 1 then Some (Scheduler.pool sched) else None
-    in
-    (* Largest routine first: submission order is the ready-queue order
-       for independent stage chains, so seeding the DAG with the longest
-       routines keeps their (longest) critical paths off the tail of the
-       schedule — the classic LPT bound. Result rows are re-sorted back
-       to textual order below; only the schedule moves. *)
-    let by_size =
-      List.stable_sort
-        (fun (_, a) (_, b) ->
-          compare
-            (Array.length b.Proc.code)
-            (Array.length a.Proc.code))
-        (List.mapi (fun i p -> i, p) procs)
-    in
-    if Telemetry.enabled tele then begin
-      let displaced = ref 0 in
-      List.iteri
-        (fun rank (orig, _) -> if rank <> orig then incr displaced)
-        by_size;
-      Telemetry.counter tele "sched.lpt_displaced" !displaced
-    end;
-    let rows =
-      Scheduler.run sched (fun () ->
-        List.map
-          (fun (orig, proc) ->
-            (* Per-pipeline contexts are single-threaded and private:
-               their scratch graphs, buckets and edge caches are the
-               stage chain's only mutable state besides its proc copy.
-               Build scans stay at jobs:1: procedure-level parallelism
-               owns the domains. *)
-            let pipelines =
-              List.map
-                (fun h ->
-                  h,
-                  Context.create ?edge_cache ~verify ~jobs:1 ~tele machine)
-                heuristics
-            in
-            ( orig,
-              Pipeline.submit_dag sched cfgn machine ~tele ?bpool ?edge_cache
-                ~pipelines proc ))
-          by_size)
-    in
-    let rows =
-      List.map snd
-        (List.sort (fun (a, _) (b, _) -> compare (a : int) b) rows)
-    in
-    let rows =
-      List.map
-        (List.map (fun slot ->
-           match !slot with
-           | Some (o : Pipeline.outcome) -> o
-           | None -> invalid_arg "Batch.allocate_matrix: pipeline never ran"))
-        rows
-    in
-    transpose ~n_heuristics:(List.length heuristics) rows
-    |> List.map2
-         (fun heuristic col ->
-           List.map
-             (fun (o : Pipeline.outcome) ->
-               { Allocator.proc = o.Pipeline.proc;
-                 heuristic;
-                 machine;
-                 passes = o.Pipeline.passes;
-                 live_ranges = o.Pipeline.live_ranges;
-                 total_spilled = o.Pipeline.total_spilled;
-                 total_spill_cost = o.Pipeline.total_spill_cost;
-                 moves_removed = o.Pipeline.moves_removed })
-             col)
-         heuristics
+    matula @ rest
+  in
+  let groups =
+    (if shared = [] then [] else [ shared ]) @ List.map (fun c -> [ c ]) own
+  in
+  let procs = Array.of_list procs in
+  let cells =
+    Array.make_matrix (List.length heuristics) (Array.length procs) None
+  in
+  (* Largest routine first: batch order is dispatch order, so starting
+     the longest routines first keeps them off the tail of the schedule
+     — the classic LPT bound. Results land in their procedure's slot. *)
+  let by_size =
+    List.stable_sort
+      (fun a b ->
+        compare
+          (Array.length procs.(b).Proc.code)
+          (Array.length procs.(a).Proc.code))
+      (List.init (Array.length procs) Fun.id)
+  in
+  let tasks =
+    Array.of_list
+      (List.concat_map (fun i -> List.map (fun g -> i, g) groups) by_size)
+  in
+  (* One pool task per (procedure, group): build once, then fan the
+     group's heuristics out as a nested batch. The cells declare no
+     footprint: they only read the group's build, which the batch's
+     submit edge orders before them, and everything they write is
+     their own creation. *)
+  Pool.run pool ~n:(Array.length tasks)
+    ~meta:(fun t ->
+      let i, group = tasks.(t) in
+      { Pool.tm_name =
+          Printf.sprintf "alloc:%s:%s" procs.(i).Proc.name
+            (String.concat "+"
+               (List.map (fun (_, h) -> Heuristic.name h) group));
+        tm_footprint =
+          { Footprint.reads = []; writes = [ Footprint.Telemetry ] } })
+    (fun t ->
+      let i, group = tasks.(t) in
+      let proc = procs.(i) in
+      let first =
+        Pipeline.build_shared cfgn machine ~tele ?pool:bpool ?edge_cache
+          (snd (List.hd group)) proc
+      in
+      let group = Array.of_list group in
+      Pool.run pool ~n:(Array.length group) (fun k ->
+        let j, h = group.(k) in
+        (* contexts are single-threaded: one per cell, its later passes'
+           builds sequential — the matrix owns the domains *)
+        let context =
+          Context.create ?edge_cache ~verify ~jobs:1 ~tele machine
+        in
+        cells.(j).(i) <-
+          Some
+            (result_of h machine
+               (Pipeline.run ~first cfgn ~context machine h proc))));
+  Array.to_list
+    (Array.map
+       (fun row -> Array.to_list (Array.map Option.get row))
+       cells)

@@ -101,9 +101,9 @@ let begin_proc t =
   t.prev <- None;
   Option.iter Build.Edge_cache.clear t.edge_cache
 
-(* The DAG driver's seam: a pipeline whose first pass was served by a
-   shared build (one Build fanned out to several heuristics) plants that
-   build as this context's previous pass, so the next spill pass patches
+(* The shared first pass's seam: an allocation whose first pass was
+   served by a shared build (one Build for several heuristics) plants
+   that build as this context's previous pass, so the next spill pass patches
    it exactly as if the context had built it itself. *)
 let adopt_prev t ~cfg ~built =
   if t.incremental then t.prev <- Some { p_cfg = cfg; p_built = built }

@@ -101,7 +101,7 @@ val stats : t -> stats
 val begin_proc : t -> unit
 
 (** [adopt_prev t ~cfg ~built] records an externally built first pass
-    (the DAG driver's shared build, fanned out to several heuristics) as
+    (a {!Pipeline.build_shared} build, served to several heuristics) as
     this context's previous pass, so the next {!build_pass} with an
     [edit] patches it incrementally instead of rebuilding from scratch.
     A no-op when incrementality is off. *)

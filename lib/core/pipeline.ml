@@ -409,6 +409,85 @@ module Verify_pass = struct
     end
 end
 
+(* ---- the shared first pass ----
+
+   Chaitin, Briggs and Matula differ only in the order they feed Select,
+   so for one procedure their first-pass Build is the same structure:
+   same code, same webs, no spill temporaries yet. [build_shared] builds
+   it once and [run ~first] consumes it as pass 1, so a batch that
+   allocates one routine under several heuristics pays for one Build.
+
+   Sharing is sound because a consumer only *reads* the first pass:
+   coloring reads the class graphs into private scratch, spill grouping
+   and rewrite resolve the alias forest (pre-compressed below, so
+   [Union_find.find] can at worst store a parent link's existing value
+   back), and the incremental second pass copies ([Liveness.update ~old])
+   or rebuilds ([Webs.rebuild ~old]) rather than patching in place.
+   Everything a consumer mutates — its procedure copy, its context's
+   scratch graphs and edge cache — is its own. Irc cannot share: its
+   conservative coalescing unions the build's alias forest mid-color, so
+   an irc cell gets a build of its own. *)
+
+type shared_build = {
+  sb_mode : Build.coalesce_mode;
+  sb_cfg : Cfg.t;
+  sb_webs : Webs.t;
+  sb_built : Build.t;
+  sb_costs_int : float array;
+  sb_costs_flt : float array;
+  sb_build_time : float;
+    (* the build's timer seconds; charged to each consumer's pass-1
+       record — per allocation, "the build this pass used took this
+       long", even though the build ran once *)
+}
+
+let build_shared cfgn machine ~tele ?pool ?(edge_cache = true) heuristic
+    (proc : Proc.t) =
+  (* input lint once: byte-identical input for every consumer, so one
+     verdict serves them all *)
+  if cfgn.verify then
+    Telemetry.span tele Phase.Lint
+      ~args:(fun () -> [ "stage", "input lint" ])
+      (fun () ->
+        fail_on_errors
+          ~stage:(proc.Proc.name ^ ": input lint")
+          (Ra_check.Lint.run proc));
+  let mode = coalesce_mode_of cfgn heuristic in
+  (* a private cache: it serves this build's coalescing rounds only *)
+  let cache = if edge_cache then Some (Build.Edge_cache.create ()) else None in
+  let timer = Timer.create () in
+  let cfg, webs, built =
+    Telemetry.span tele ~timer Phase.Build (fun () ->
+      let cfg = Cfg.build proc.Proc.code in
+      let webs = Webs.build proc cfg ~is_spill_vreg:(fun _ -> false) in
+      let built =
+        Build.build machine proc cfg ~webs ~coalesce_mode:mode ?pool ?cache
+          ~verify:cfgn.verify ~tele ()
+      in
+      cfg, webs, built)
+  in
+  let costs_int, costs_flt =
+    Telemetry.span tele ~timer Phase.Build (fun () ->
+      let rep_costs = Build.rep_costs ~base:cfgn.spill_base built proc in
+      ( Build.node_costs ~rep_costs built proc Reg.Int_reg,
+        Build.node_costs ~rep_costs built proc Reg.Flt_reg ))
+  in
+  (* Fully compress the alias forest while we are its only owner: the
+     consumers' [Union_find.find]s (spill grouping, node lookup) then
+     follow one-link paths, and the only write any of them can issue is
+     storing a parent link's existing value back — benign under the
+     OCaml memory model, and invisible to the outcome. *)
+  for w = 0 to Union_find.size built.Build.alias - 1 do
+    ignore (Union_find.find built.Build.alias w)
+  done;
+  { sb_mode = mode;
+    sb_cfg = cfg;
+    sb_webs = webs;
+    sb_built = built;
+    sb_costs_int = costs_int;
+    sb_costs_flt = costs_flt;
+    sb_build_time = Timer.elapsed timer ~phase:Phase.Build }
+
 (* ---- the driver ---- *)
 
 let record_pass ?(coalesced = 0) st ~timer ~pass_index ~webs ~built ~k_int
@@ -442,7 +521,7 @@ let record_pass ?(coalesced = 0) st ~timer ~pass_index ~webs ~built ~k_int
   Telemetry.counter st.tele "edge_cache.hits" r.cache_hits;
   Telemetry.counter st.tele "edge_cache.misses" r.cache_misses
 
-let rec run_pass st pass_index ~edit =
+let rec run_pass ?first st pass_index ~edit =
   if pass_index > st.cfgn.max_passes then
     fail "%s: no convergence after %d passes" st.proc.Proc.name
       st.cfgn.max_passes;
@@ -452,7 +531,15 @@ let rec run_pass st pass_index ~edit =
     (fun () ->
       let timer = Timer.create () in
       let cfg, webs, built, costs_int, costs_flt =
-        Build_pass.run st ~timer ~edit
+        match first with
+        | None -> Build_pass.run st ~timer ~edit
+        | Some sb ->
+          (* plant the shared build as this context's previous pass, so
+             a spill pass patches it incrementally — exactly what a
+             scratch pass 1 would have left behind *)
+          Context.adopt_prev st.ctx ~cfg:sb.sb_cfg ~built:sb.sb_built;
+          Timer.add timer ~phase:Phase.Build sb.sb_build_time;
+          sb.sb_cfg, sb.sb_webs, sb.sb_built, sb.sb_costs_int, sb.sb_costs_flt
       in
       if pass_index = 1 then st.live_ranges <- Webs.n_webs webs;
       let k_int = Machine.regs st.machine Reg.Int_reg in
@@ -567,10 +654,11 @@ let rec run_pass st pass_index ~edit =
       end)
 
 (* One complete allocation of [original] under [cfgn]: fresh pass state,
-   fresh working copy, lint → pass loop → verify. [run] and the DAG
-   rewrite task both call it a second time for [irc_fallback]. *)
-let alloc_once cfgn ~context machine heuristic (original : Proc.t) : outcome
-    =
+   fresh working copy, lint → pass loop → verify. [first], when given,
+   serves pass 1 (its [build_shared] already linted the input). [run]
+   calls it a second time, without [first], for [irc_fallback]. *)
+let alloc_once ?first cfgn ~context machine heuristic (original : Proc.t) :
+    outcome =
   let st =
     { cfgn;
       machine;
@@ -584,9 +672,9 @@ let alloc_once cfgn ~context machine heuristic (original : Proc.t) : outcome
       total_spill_cost = 0.0;
       passes_rev = [] }
   in
-  Lint_pass.run st ~stage:"input lint" original;
+  if Option.is_none first then Lint_pass.run st ~stage:"input lint" original;
   Context.begin_proc st.ctx;
-  let allocated, moves_removed = run_pass st 1 ~edit:None in
+  let allocated, moves_removed = run_pass ?first st 1 ~edit:None in
   Verify_pass.run st allocated;
   Telemetry.counter st.tele "alloc.moves_removed" moves_removed;
   { proc = allocated;
@@ -628,356 +716,16 @@ let irc_fallback cfgn ~context machine heuristic (original : Proc.t)
     ->
     first
 
-(* ---- the DAG decomposition (RA_SCHED=dag) ----
-
-   The same stage modules, restructured as dependency-carrying tasks on
-   a {!Scheduler}: per procedure, ONE shared first-pass Build fans out
-   to one pipeline per heuristic, and each pipeline advances as a chain
-   of stage tasks (color → spill → build → color → ... → rewrite) that
-   submit their successor from inside themselves — the spill-driven
-   pass loop needs no upfront unrolling.
-
-   Dependencies are declared, not wired: every stage task of a pipeline
-   writes that pipeline's [State] token (so the chain serializes in
-   submission order) and reads the procedure's shared-build token (so
-   the fan-out waits for the shared build); tasks of different
-   procedures and different pipelines share no token and run freely.
-
-   What makes the shared fan-out sound: after the first pass, pipelines
-   only *read* the shared structures — coloring reads the class graphs
-   into private scratch, spill grouping and rewrite resolve the alias
-   forest (pre-compressed below, so [Union_find.find] can at worst
-   rewrite a parent link with the value it already holds), and the
-   incremental second pass copies ([Liveness.update ~old]) or rebuilds
-   ([Webs.rebuild ~old]) rather than patching in place. Everything a
-   pipeline mutates — its procedure copy, its context's scratch graphs
-   and edge cache — is private to it.
-
-   Outcomes are engineered to be bit-identical to the sequential
-   driver's: the stages run in the same relative order within a
-   pipeline, on the same structures (the shared build is exactly the
-   scratch build every pipeline's pass 1 would have produced — same
-   code, same webs, no spill temps yet), so [RA_SCHED=flat] is a pure
-   scheduling escape hatch, not a different allocator. *)
-
-type shared_build = {
-  sb_cfg : Cfg.t;
-  sb_webs : Webs.t;
-  sb_built : Build.t;
-  sb_costs_int : float array;
-  sb_costs_flt : float array;
-  sb_build_time : float;
-    (* the build's timer seconds; charged to each consuming pipeline's
-       pass-1 record — per allocation, "the build this pass used took
-       this long", even though the fan-out ran it once *)
-}
-
-let build_shared cfgn machine ~tele ?pool ?cache ~mode (proc : Proc.t) =
-  (* input lint once: byte-identical input for every pipeline of the
-     fan-out, so one verdict serves them all *)
-  if cfgn.verify then
-    Telemetry.span tele Phase.Lint
-      ~args:(fun () -> [ "stage", "input lint" ])
-      (fun () ->
-        fail_on_errors
-          ~stage:(proc.Proc.name ^ ": input lint")
-          (Ra_check.Lint.run proc));
-  let timer = Timer.create () in
-  let cfg, webs, built =
-    Telemetry.span tele ~timer Phase.Build (fun () ->
-      let cfg = Cfg.build proc.Proc.code in
-      let webs = Webs.build proc cfg ~is_spill_vreg:(fun _ -> false) in
-      let built =
-        Build.build machine proc cfg ~webs ~coalesce_mode:mode ?pool ?cache
-          ~verify:cfgn.verify ~tele ()
-      in
-      cfg, webs, built)
-  in
-  let costs_int, costs_flt =
-    Telemetry.span tele ~timer Phase.Build (fun () ->
-      let rep_costs = Build.rep_costs ~base:cfgn.spill_base built proc in
-      ( Build.node_costs ~rep_costs built proc Reg.Int_reg,
-        Build.node_costs ~rep_costs built proc Reg.Flt_reg ))
-  in
-  (* Fully compress the alias forest while we are its only owner: the
-     concurrent pipelines' [Union_find.find]s (spill grouping, node
-     lookup) then follow one-link paths, and the only write any of them
-     can issue is storing a parent link's existing value back — benign
-     under the OCaml memory model, and invisible to the outcome. *)
-  for w = 0 to Union_find.size built.Build.alias - 1 do
-    ignore (Union_find.find built.Build.alias w)
-  done;
-  { sb_cfg = cfg;
-    sb_webs = webs;
-    sb_built = built;
-    sb_costs_int = costs_int;
-    sb_costs_flt = costs_flt;
-    sb_build_time = Timer.elapsed timer ~phase:Phase.Build }
-
-(* [State] tokens name serialization, not storage: one per shared build
-   (read by its fan-out), one per pipeline (written by every stage of
-   the chain). Process-unique so unrelated procedures never alias. *)
-let next_state_token = Atomic.make 0
-
-type dag_pipe = {
-  dp_st : state;
-  dp_sched : Scheduler.t;
-  dp_fp : Footprint.t; (* reads its shared build, writes its pipeline *)
-  dp_label : string; (* "<proc>:<heuristic>" *)
-  dp_k_int : int;
-  dp_k_flt : int;
-  dp_original : Proc.t; (* untouched input, for [irc_fallback]'s rerun *)
-  dp_slot : outcome option ref;
-}
-
-let dag_submit dp ~stage fn =
-  ignore
-    (Scheduler.submit dp.dp_sched
-       ~name:(stage ^ ":" ^ dp.dp_label)
-       ~footprint:dp.dp_fp fn)
-
-(* The stage tasks. Control flow mirrors [run_pass] exactly — same
-   stages, same order, same failure points — but each arrow of the
-   chain is a task submission instead of a call. *)
-let rec dag_color dp pass_index ~timer ~cfg ~webs ~built ~costs_int
-    ~costs_flt =
-  let st = dp.dp_st in
-  if pass_index > st.cfgn.max_passes then
-    fail "%s: no convergence after %d passes" st.proc.Proc.name
-      st.cfgn.max_passes;
-  if pass_index = 1 then st.live_ranges <- Webs.n_webs webs;
-  (* mirrors run_pass: per-pass irc stats and the alias-forest snapshot
-     guarding the conservative merges (irc pipelines own their build
-     privately — see submit_dag — so the mutation is race-free) *)
-  let irc =
-    match st.heuristic with
-    | Heuristic.Irc -> Some (Irc.fresh_stats ())
-    | Heuristic.Chaitin | Heuristic.Briggs | Heuristic.Matula -> None
-  in
-  let alias_snap =
-    match irc with
-    | Some _ -> Some (Union_find.snapshot built.Build.alias)
-    | None -> None
-  in
-  let out_int = Color_pass.run st ~timer ?irc built Reg.Int_reg ~costs:costs_int in
-  let out_flt = Color_pass.run st ~timer ?irc built Reg.Flt_reg ~costs:costs_flt in
-  let coalesced = match irc with Some s -> s.Irc.combined | None -> 0 in
-  let groups_int, cost_int =
-    Spill_elect.run st ~timer built Reg.Int_reg costs_int out_int
-  in
-  let groups_flt, cost_flt =
-    Spill_elect.run st ~timer built Reg.Flt_reg costs_flt out_flt
-  in
-  (* as in run_pass: group through the coalesced forest (a spilled
-     combined node spills all member webs into one slot), rewind the
-     speculative merges, then give a spilling pass its move-blind
-     retry and keep whichever election spills fewer groups — a local
-     improvement; the global guarantee is [irc_fallback] at rewrite *)
-  let spilling = function
-    | Heuristic.Spill _ -> true
-    | Heuristic.Colored _ -> false
-  in
-  (match alias_snap with
-   | Some snap when spilling out_int || spilling out_flt ->
-     Union_find.restore built.Build.alias snap
+let run ?first cfgn ~context machine heuristic (original : Proc.t) : outcome =
+  (match first with
+   | Some sb when sb.sb_mode <> coalesce_mode_of cfgn heuristic ->
+     invalid_arg "Pipeline.run: first pass built for another coalesce mode"
    | Some _ | None -> ());
-  let out_int, out_flt, groups_int, cost_int, groups_flt, cost_flt, coalesced =
-    match alias_snap with
-    | Some _
-      when (spilling out_int || spilling out_flt)
-           && Array.length built.Build.moves_int
-              + Array.length built.Build.moves_flt
-              > 0 ->
-      let out_int' =
-        Color_pass.run st ~timer ?irc ~moves:[||] built Reg.Int_reg
-          ~costs:costs_int
-      in
-      let out_flt' =
-        Color_pass.run st ~timer ?irc ~moves:[||] built Reg.Flt_reg
-          ~costs:costs_flt
-      in
-      let groups_int', cost_int' =
-        Spill_elect.run st ~timer built Reg.Int_reg costs_int out_int'
-      in
-      let groups_flt', cost_flt' =
-        Spill_elect.run st ~timer built Reg.Flt_reg costs_flt out_flt'
-      in
-      if List.length groups_int' + List.length groups_flt'
-         <= List.length groups_int + List.length groups_flt
-      then out_int', out_flt', groups_int', cost_int', groups_flt',
-           cost_flt', 0
-      else out_int, out_flt, groups_int, cost_int, groups_flt, cost_flt,
-           coalesced
-    | Some _ | None ->
-      out_int, out_flt, groups_int, cost_int, groups_flt, cost_flt, coalesced
-  in
-  let n_spilled = List.length groups_int + List.length groups_flt in
-  if n_spilled = 0 then begin
-    match out_int, out_flt with
-    | Heuristic.Colored colors_int, Heuristic.Colored colors_flt ->
-      dag_submit dp ~stage:"rewrite" (fun () ->
-        dag_rewrite dp ~timer ~pass_index ~coalesced ~cfg ~webs ~built
-          ~colors_int ~colors_flt)
-    | (Heuristic.Colored _ | Heuristic.Spill _), _ -> assert false
-  end
-  else begin
-    let spill_cost = cost_int +. cost_flt in
-    Spill_elect.check_spillable st ~pass_index ~k_int:dp.dp_k_int
-      ~k_flt:dp.dp_k_flt ~spill_cost (costs_int, out_int)
-      (costs_flt, out_flt);
-    st.total_spilled <- st.total_spilled + n_spilled;
-    st.total_spill_cost <- st.total_spill_cost +. spill_cost;
-    Telemetry.counter st.tele "alloc.spilled" n_spilled;
-    dag_submit dp ~stage:"spill" (fun () ->
-      dag_spill dp pass_index ~timer ~coalesced ~webs ~built ~n_spilled
-        ~spill_cost ~groups_int ~groups_flt)
-  end
-
-and dag_spill dp pass_index ~timer ~coalesced ~webs ~built ~n_spilled
-    ~spill_cost ~groups_int ~groups_flt =
-  let st = dp.dp_st in
-  Spill_insert.emit_dump st ~pass_index ~webs ~n_spilled ~spill_cost
-    ~k_int:dp.dp_k_int ~k_flt:dp.dp_k_flt ~groups_int ~groups_flt;
-  let sp = Spill_insert.run st ~timer webs ~groups:(groups_int @ groups_flt) in
-  record_pass ~coalesced st ~timer ~pass_index ~webs ~built ~k_int:dp.dp_k_int
-    ~k_flt:dp.dp_k_flt ~spilled:n_spilled ~spill_cost;
-  dag_submit dp ~stage:"build" (fun () -> dag_build dp (pass_index + 1) ~edit:sp)
-
-and dag_build dp pass_index ~edit =
-  let st = dp.dp_st in
-  let timer = Timer.create () in
-  let cfg, webs, built, costs_int, costs_flt =
-    Build_pass.run st ~timer ~edit:(Some edit)
-  in
-  dag_submit dp ~stage:"color" (fun () ->
-    dag_color dp pass_index ~timer ~cfg ~webs ~built ~costs_int ~costs_flt)
-
-and dag_rewrite dp ~timer ~pass_index ~coalesced ~cfg ~webs ~built
-    ~colors_int ~colors_flt =
-  let st = dp.dp_st in
-  record_pass ~coalesced st ~timer ~pass_index ~webs ~built ~k_int:dp.dp_k_int
-    ~k_flt:dp.dp_k_flt ~spilled:0 ~spill_cost:0.0;
-  let allocated, moves_removed =
-    Rewrite_pass.run st ~cfg ~built ~colors_int ~colors_flt
-  in
-  Verify_pass.run st allocated;
-  Telemetry.counter st.tele "alloc.moves_removed" moves_removed;
-  let first =
-    { proc = allocated;
-      passes = List.rev st.passes_rev;
-      live_ranges = st.live_ranges;
-      total_spilled = st.total_spilled;
-      total_spill_cost = st.total_spill_cost;
-      moves_removed }
-  in
-  (* the fallback rerun is ordinary sequential allocation inside this
-     task — it touches only the pipeline's private context and its own
-     fresh copy of the input, so the fan-out's sharing argument and the
-     declared footprint both still hold *)
-  dp.dp_slot :=
-    Some
-      (irc_fallback st.cfgn ~context:st.ctx st.machine st.heuristic
-         dp.dp_original first)
-
-let dag_start dp shared =
-  let st = dp.dp_st in
-  Telemetry.counter st.tele "alloc.procs" 1;
-  (* plant the shared build as this context's previous pass, so a spill
-     pass patches it incrementally — exactly what a sequential pass 1
-     would have left behind *)
-  Context.adopt_prev st.ctx ~cfg:shared.sb_cfg ~built:shared.sb_built;
-  let timer = Timer.create () in
-  Timer.add timer ~phase:Phase.Build shared.sb_build_time;
-  dag_color dp 1 ~timer ~cfg:shared.sb_cfg ~webs:shared.sb_webs
-    ~built:shared.sb_built ~costs_int:shared.sb_costs_int
-    ~costs_flt:shared.sb_costs_flt
-
-let submit_dag sched cfgn machine ~tele ?bpool ?(edge_cache = true)
-    ~pipelines (original : Proc.t) =
-  (* One aggressive build fans out to every classic pipeline. Irc
-     pipelines cannot join the fan-out: they need a Conservative build
-     (staged move worklists instead of fixpoint merging), and their
-     conservative coalescing unions the build's alias forest mid-color —
-     a write into what the sharing argument requires to be read-only. So
-     each irc pipeline gets its own build task, private cache included,
-     and chains off that token instead of the shared one. *)
-  let submit_build ~label ~mode =
-    let token = Atomic.fetch_and_add next_state_token 1 in
-    let cell = ref None in
-    let cache =
-      if edge_cache then Some (Build.Edge_cache.create ()) else None
-    in
-    ignore
-      (Scheduler.submit sched ~name:("build:" ^ label)
-         ~footprint:
-           { Footprint.reads = [];
-             writes = [ Footprint.State token; Footprint.Telemetry ] }
-         (fun () ->
-           cell :=
-             Some
-               (build_shared cfgn machine ~tele ?pool:bpool ?cache ~mode
-                  original)));
-    token, cell
-  in
-  let shared =
-    if List.exists (fun (h, _) -> h <> Heuristic.Irc) pipelines then
-      Some
-        (submit_build ~label:original.Proc.name
-           ~mode:(if cfgn.coalesce then Build.Aggressive else Build.Off))
-    else None
-  in
-  List.map
-    (fun (heuristic, ctx) ->
-      let sb_token, cell =
-        match heuristic, shared with
-        | Heuristic.Irc, _ | _, None ->
-          submit_build
-            ~label:(original.Proc.name ^ ":" ^ Heuristic.name heuristic)
-            ~mode:(coalesce_mode_of cfgn heuristic)
-        | _, Some shared -> shared
-      in
-      let pipe_token = Atomic.fetch_and_add next_state_token 1 in
-      let slot = ref None in
-      let st =
-        { cfgn;
-          machine;
-          heuristic;
-          ctx;
-          tele = Context.telemetry ctx;
-          proc = copy_proc original;
-          spill_vreg_ids = Hashtbl.create 16;
-          live_ranges = 0;
-          total_spilled = 0;
-          total_spill_cost = 0.0;
-          passes_rev = [] }
-      in
-      let dp =
-        { dp_st = st;
-          dp_sched = sched;
-          dp_fp =
-            { Footprint.reads = [ Footprint.State sb_token ];
-              writes = [ Footprint.State pipe_token; Footprint.Telemetry ] };
-          dp_label = original.Proc.name ^ ":" ^ Heuristic.name heuristic;
-          dp_k_int = Machine.regs machine Reg.Int_reg;
-          dp_k_flt = Machine.regs machine Reg.Flt_reg;
-          dp_original = original;
-          dp_slot = slot }
-      in
-      dag_submit dp ~stage:"color" (fun () ->
-        match !cell with
-        | Some shared -> dag_start dp shared
-        | None ->
-          (* the State edge guarantees the shared build ran first *)
-          assert false);
-      slot)
-    pipelines
-
-let run cfgn ~context machine heuristic (original : Proc.t) : outcome =
   let tele = Context.telemetry context in
   Telemetry.span tele Phase.Alloc
     ~args:(fun () ->
       [ "proc", original.Proc.name; "heuristic", Heuristic.name heuristic ])
     (fun () ->
       Telemetry.counter tele "alloc.procs" 1;
-      let first = alloc_once cfgn ~context machine heuristic original in
-      irc_fallback cfgn ~context machine heuristic original first)
+      let outcome = alloc_once ?first cfgn ~context machine heuristic original in
+      irc_fallback cfgn ~context machine heuristic original outcome)

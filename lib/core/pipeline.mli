@@ -73,45 +73,48 @@ val stages : (Ra_support.Phase.t * string) list
     hash-bucket layout. Exposed for the determinism regression test. *)
 val spill_groups : Build.t -> Ra_ir.Reg.cls -> int list -> int list list
 
+(** A procedure's first-pass Build (graphs, webs, spill costs), built
+    once and consumed as pass 1 by every {!run} given it as [first]. *)
+type shared_build
+
+(** [build_shared config machine ~tele heuristic proc] lints [proc] (when
+    [config.verify]), builds its first pass in [heuristic]'s coalesce
+    mode, computes spill costs and fully compresses the alias forest, so
+    that consumers only ever read it. [pool] shards the block scan;
+    [edge_cache] (default on) gives the build a private cache for its
+    coalescing rounds. The result serves every heuristic with the same
+    coalesce mode — Chaitin, Briggs and Matula — but never irc, whose
+    conservative merges write the alias forest: an irc allocation needs
+    a build of its own. *)
+val build_shared :
+  config ->
+  Machine.t ->
+  tele:Ra_support.Telemetry.t ->
+  ?pool:Ra_support.Pool.t ->
+  ?edge_cache:bool ->
+  Heuristic.t ->
+  Ra_ir.Proc.t ->
+  shared_build
+
 (** Run the pipeline on a *copy* of the procedure (the input is
     untouched) over the given context's buffers, reporting into the
     context's telemetry sink. Raises {!Allocation_failure} as
     documented on {!Allocator.allocate}.
+
+    [first], from {!build_shared} on the same procedure and config,
+    serves pass 1 instead of a fresh Build and is planted with
+    {!Context.adopt_prev}, so a spill pass patches it incrementally. The
+    outcome is bit-identical to a run without it. Raises
+    [Invalid_argument] when [first] was built in another coalesce mode
+    than [heuristic] needs.
 
     For {!Heuristic.Irc} with [config.coalesce] on, an allocation that
     spilled is re-run with coalescing off (one extra sequential
     allocation, counted as [irc.fallback_runs] on the telemetry sink)
     and the no-coalesce outcome is kept when it spilled strictly fewer
     webs ([irc.fallback_kept]) — conservative coalescing never costs
-    spills, whole-allocation, not merely per pass. {!submit_dag}'s
-    rewrite task applies the same fallback, so both drivers stay
-    bit-identical. *)
+    spills, whole-allocation, not merely per pass. *)
 val run :
+  ?first:shared_build ->
   config -> context:Context.t -> Machine.t -> Heuristic.t -> Ra_ir.Proc.t ->
   outcome
-
-(** The DAG decomposition ([RA_SCHED=dag]): submit, into the open
-    {!Ra_support.Scheduler.run} scope of [sched], one shared first-pass
-    Build task for the procedure plus one stage-task chain per
-    [pipelines] entry (a heuristic with its own single-threaded
-    context), all dependency-ordered through declared
-    {!Ra_support.Footprint.State} tokens. Returns one result slot per
-    pipeline, filled by its rewrite task — read them only after the
-    scheduler scope has drained. Outcomes are bit-identical to {!run}
-    on the same inputs.
-
-    [tele] is the shared build task's sink; each pipeline reports into
-    its context's sink as usual. [bpool] (typically
-    {!Ra_support.Scheduler.pool}) shards the shared build's edge scan;
-    [edge_cache] (default on) gives the shared build a private cache
-    for its coalescing rounds. *)
-val submit_dag :
-  Ra_support.Scheduler.t ->
-  config ->
-  Machine.t ->
-  tele:Ra_support.Telemetry.t ->
-  ?bpool:Ra_support.Pool.t ->
-  ?edge_cache:bool ->
-  pipelines:(Heuristic.t * Context.t) list ->
-  Ra_ir.Proc.t ->
-  outcome option ref list

@@ -20,7 +20,6 @@ type resource =
   | Igraph_rows of { id : int; lo : int; hi : int }
   | Edge_cache_blocks of { id : int; lo : int; hi : int }
   | Liveness of int (* the whole solution: live-in/out arrays + scratch *)
-  | State of int (* an abstract serialization token (no access hooks) *)
   | Telemetry (* the process sink; mutex-protected, so never a conflict *)
 
 type key =
@@ -57,7 +56,7 @@ let uid_of_key = function
 let synchronized = function
   | Telemetry -> true
   | Bitset _ | Bit_matrix_rows _ | Igraph_rows _ | Edge_cache_blocks _
-  | Liveness _ | State _ -> false
+  | Liveness _ -> false
 
 let ranges_meet lo1 hi1 lo2 hi2 = lo1 <= hi2 && lo2 <= hi1
 
@@ -66,14 +65,13 @@ let overlap a b =
   | Telemetry, _ | _, Telemetry -> false
   | Bitset i, Bitset j -> i = j
   | Liveness i, Liveness j -> i = j
-  | State i, State j -> i = j
   | Bit_matrix_rows a, Bit_matrix_rows b ->
     a.id = b.id && ranges_meet a.lo a.hi b.lo b.hi
   | Igraph_rows a, Igraph_rows b ->
     a.id = b.id && ranges_meet a.lo a.hi b.lo b.hi
   | Edge_cache_blocks a, Edge_cache_blocks b ->
     a.id = b.id && ranges_meet a.lo a.hi b.lo b.hi
-  | (Bitset _ | Liveness _ | State _ | Bit_matrix_rows _ | Igraph_rows _
+  | (Bitset _ | Liveness _ | Bit_matrix_rows _ | Igraph_rows _
     | Edge_cache_blocks _), _ -> false
 
 (* A whole-object observation (row = -1: a resize/reset touching every
@@ -91,9 +89,7 @@ let covers r k =
                   else a.lo <= row && row <= a.hi)
   | Edge_cache_blocks a, K_edge_cache_block (id, blk) ->
     a.id = id && a.lo <= blk && blk <= a.hi
-  (* [State] is declaration-only: no hook observes it, so it covers no
-     access point *)
-  | (Bitset _ | Liveness _ | State _ | Telemetry | Bit_matrix_rows _
+  | (Bitset _ | Liveness _ | Telemetry | Bit_matrix_rows _
     | Igraph_rows _ | Edge_cache_blocks _), _ -> false
 
 let covered_by resources k = List.exists (fun r -> covers r k) resources
@@ -110,10 +106,6 @@ let conflict a b =
   in
   List.find_map hit a.writes
 
-(* Symmetric form for dependency-edge derivation: does either side write
-   something the other touches? *)
-let conflicts a b = conflict a b <> None || conflict b a <> None
-
 let range_to_string what id lo hi =
   if lo = 0 && hi = max_int then Printf.sprintf "%s#%d[*]" what id
   else Printf.sprintf "%s#%d[%d..%d]" what id lo hi
@@ -124,7 +116,6 @@ let resource_to_string = function
   | Igraph_rows { id; lo; hi } -> range_to_string "igraph" id lo hi
   | Edge_cache_blocks { id; lo; hi } -> range_to_string "edge-cache" id lo hi
   | Liveness id -> Printf.sprintf "liveness#%d" id
-  | State id -> Printf.sprintf "state#%d" id
   | Telemetry -> "telemetry"
 
 let key_to_string = function

@@ -7,9 +7,8 @@
     one; the static checker ({!Ra_check.Effects}) rejects batches whose
     write sets overlap another task's read∪write set, and the dynamic
     race detector ({!Ra_check.Race}) verifies observed accesses stay
-    inside the declaration. The same footprints are the dependency edges
-    a task-DAG scheduler needs, which is why they live here and not in
-    the checker. *)
+    inside the declaration. The pool carries them in its task metas,
+    which is why they live here and not in the checker. *)
 
 (** A declared region: a whole object or a contiguous range of one.
     Objects are named by process-unique ids from {!fresh_uid}. *)
@@ -19,11 +18,6 @@ type resource =
   | Igraph_rows of { id : int; lo : int; hi : int }
   | Edge_cache_blocks of { id : int; lo : int; hi : int }
   | Liveness of int
-  | State of int
-    (** an abstract serialization token from {!fresh_uid}: tasks sharing
-        mutable state the hook vocabulary cannot name declare a write on
-        one [State] id and the DAG scheduler serializes them. No access
-        hook ever observes it, so it never fails conformance. *)
   | Telemetry
 
 (** An observed access point, as the instrumentation hooks record it.
@@ -62,10 +56,6 @@ val covered_by : resource list -> key -> bool
 (** [conflict a b] is the first (write of [a], read∪write of [b])
     overlapping pair, if any. Not symmetric: check both orders. *)
 val conflict : t -> t -> (resource * resource) option
-
-(** [conflicts a b]: either order has a write/read∪write overlap — the
-    symmetric test the DAG scheduler derives dependency edges from. *)
-val conflicts : t -> t -> bool
 
 val resource_to_string : resource -> string
 val key_to_string : key -> string

@@ -12,11 +12,10 @@ type t =
   | Spill_insert
   | Rewrite
   | Verify
-  | Task
 
 let all =
   [ Alloc; Pass; Lint; Build; Liveness; Coalesce; Scan; Simplify; Color;
-    Spill_elect; Spill_insert; Rewrite; Verify; Task ]
+    Spill_elect; Spill_insert; Rewrite; Verify ]
 
 let count = List.length all
 
@@ -34,7 +33,6 @@ let index = function
   | Spill_insert -> 10
   | Rewrite -> 11
   | Verify -> 12
-  | Task -> 13
 
 let name = function
   | Alloc -> "alloc"
@@ -50,6 +48,5 @@ let name = function
   | Spill_insert -> "spill-insert"
   | Rewrite -> "rewrite"
   | Verify -> "verify"
-  | Task -> "task"
 
 let of_name s = List.find_opt (fun p -> name p = s) all

@@ -19,7 +19,6 @@ type t =
   | Spill_insert  (** spill-code insertion (the paper's Spill) *)
   | Rewrite  (** rewriting virtual registers onto their colors *)
   | Verify  (** translation-validation cross-checks *)
-  | Task  (** one DAG-scheduler task execution (domain-tagged) *)
 
 (** Stable lowercase name, e.g. ["spill-insert"]. *)
 val name : t -> string

@@ -49,12 +49,6 @@ type t = {
   mutable domains : unit Domain.t list;
   jobs : int;
   mutable tele : Telemetry.t;
-  (* [Some run]: a façade over the work-stealing DAG scheduler — batches
-     are executed by [run ~n f] on the scheduler's domains instead of
-     this pool's queue (it owns no domains of its own). The validator,
-     race-log batch events and scheduling counters stay identical, so
-     [Build]'s sharded scans run unchanged on either backend. *)
-  sched_run : (n:int -> (int -> unit) -> unit) option;
 }
 
 let jobs t = t.jobs
@@ -129,22 +123,10 @@ let create ~jobs =
       closed = false;
       domains = [];
       jobs;
-      tele = Telemetry.null;
-      sched_run = None }
+      tele = Telemetry.null }
   in
   t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
-
-let of_scheduler ~jobs run =
-  if jobs < 1 then invalid_arg "Pool.of_scheduler: jobs must be >= 1";
-  { mutex = Mutex.create ();
-    wake = Condition.create ();
-    queue = [];
-    closed = false;
-    domains = [];
-    jobs;
-    tele = Telemetry.null;
-    sched_run = Some run }
 
 let run_inline ~n f =
   for i = 0 to n - 1 do
@@ -180,50 +162,6 @@ let run t ?meta ~n f =
           Race_log.batch_submit ~tasks
         else -1
       in
-      match t.sched_run with
-      | Some srun ->
-        (* the scheduler façade: per-task bookkeeping identical to
-           [step], execution delegated to the scheduler's domains *)
-        if t.closed then invalid_arg "Pool.run: pool is shut down";
-        let submitted_at =
-          if Telemetry.enabled t.tele then Unix.gettimeofday () else 0.
-        in
-        let f' i =
-          (let tele = t.tele in
-           if Telemetry.enabled tele then begin
-             if submitted_at > 0. then
-               Telemetry.counter tele "pool.queue_wait_us"
-                 (int_of_float
-                    ((Unix.gettimeofday () -. submitted_at) *. 1e6));
-             Telemetry.counter tele "pool.tasks" 1;
-             Telemetry.counter tele
-               ("pool.tasks.d" ^ string_of_int (Domain.self () :> int))
-               1
-           end);
-          if race_batch >= 0 then
-            Race_log.task_start ~batch:race_batch ~index:i;
-          let outcome =
-            match f i with
-            | () -> None
-            | exception e -> Some (e, Printexc.get_raw_backtrace ())
-          in
-          if race_batch >= 0 then
-            Race_log.task_end ~batch:race_batch ~index:i;
-          match outcome with
-          | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-          | None -> ()
-        in
-        let result =
-          match srun ~n f' with
-          | () -> None
-          | exception e -> Some (e, Printexc.get_raw_backtrace ())
-        in
-        (* the join event is appended after every task's end either way *)
-        if race_batch >= 0 then Race_log.batch_join ~batch:race_batch;
-        (match result with
-         | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-         | None -> ())
-      | None ->
       let b =
         { run_task = f;
           n;

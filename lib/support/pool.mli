@@ -33,17 +33,6 @@ type task_meta = {
     A pool with [jobs = 1] runs every batch inline in the caller. *)
 val create : jobs:int -> t
 
-(** [of_scheduler ~jobs run] is a pool façade over a work-stealing DAG
-    scheduler: it owns no domains, and every batch with [n > 1] is
-    executed by [run ~n f] (the scheduler's blocking batch primitive,
-    see {!Scheduler.batch_run}) on the scheduler's domains. The
-    footprint validator, [Race_log] batch events, scheduling counters
-    and exception propagation behave exactly as on a [create]d pool, so
-    the interference-graph builder's sharded scans run unchanged —
-    their shard tasks interleave with the scheduler's DAG tasks instead
-    of queueing on a second domain set. *)
-val of_scheduler : jobs:int -> (n:int -> (int -> unit) -> unit) -> t
-
 (** The parallelism width the pool was created with. *)
 val jobs : t -> int
 

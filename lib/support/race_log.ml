@@ -40,11 +40,6 @@ type event =
   | Task_start of { batch : int; index : int; thread : int }
   | Task_end of { batch : int; index : int; thread : int }
   | Batch_join of { batch : int; submitter : int }
-  | Node_submit of
-      { node : int; submitter : int; name : string; deps : int list }
-  | Node_start of { node : int; thread : int }
-  | Node_end of { node : int; thread : int }
-  | Graph_join of { submitter : int; nodes : int list }
   | Created of { thread : int; uid : int }
   | Access of { thread : int; key : Footprint.key; write : bool }
 
@@ -57,7 +52,6 @@ let on = ref false
 let mutex = Mutex.create ()
 let rev_events : event list ref = ref []
 let next_batch = ref 0
-let next_node = ref 0
 let next_thread = Atomic.make 0
 
 (* Bumped by [clear]/[enable] so frames from an earlier scope drop their
@@ -184,48 +178,3 @@ let batch_join ~batch =
   let f = current () in
   sync_point f;
   append (Batch_join { batch; submitter = f.f_thread })
-
-(* ---- DAG-scheduler synchronization events (called by Scheduler) ----
-
-   A DAG node is submitted with its resolved dependency edges (the node
-   ids of the tasks it must run after); its start merges the submitter's
-   snapshot with every dependency's end state, and the graph join
-   surrogates all node threads to the joining caller — exactly the
-   batch discipline generalized from a fan-out/fan-in tree to an
-   arbitrary DAG. The same ordering invariants hold: a node's submit
-   precedes its start, a dependency's end precedes its dependents'
-   starts, and the join is appended after every node's end. *)
-
-let node_submit ~name ~deps =
-  let f = current () in
-  sync_point f;
-  Mutex.lock mutex;
-  let id = !next_node in
-  next_node := id + 1;
-  rev_events :=
-    Node_submit { node = id; submitter = f.f_thread; name; deps }
-    :: !rev_events;
-  Mutex.unlock mutex;
-  id
-
-let node_start ~node =
-  let stack = Domain.DLS.get stack_key in
-  (match !stack with
-   | [] -> stack := [ fresh_frame () ] (* materialize the root below us *)
-   | _ :: _ -> ());
-  let f = fresh_frame () in
-  stack := f :: !stack;
-  append (Node_start { node; thread = f.f_thread })
-
-let node_end ~node =
-  let stack = Domain.DLS.get stack_key in
-  match !stack with
-  | f :: rest ->
-    stack := rest;
-    append (Node_end { node; thread = f.f_thread })
-  | [] -> invalid_arg "Race_log.node_end: no active task frame"
-
-let graph_join ~nodes =
-  let f = current () in
-  sync_point f;
-  append (Graph_join { submitter = f.f_thread; nodes })

@@ -19,13 +19,6 @@ type event =
   | Task_start of { batch : int; index : int; thread : int }
   | Task_end of { batch : int; index : int; thread : int }
   | Batch_join of { batch : int; submitter : int }
-  | Node_submit of
-      { node : int; submitter : int; name : string; deps : int list }
-    (** a DAG task with its resolved dependency edges (node ids) *)
-  | Node_start of { node : int; thread : int }
-  | Node_end of { node : int; thread : int }
-  | Graph_join of { submitter : int; nodes : int list }
-    (** the graph scope drained; [nodes] are every node of the scope *)
   | Created of { thread : int; uid : int }
   | Access of { thread : int; key : Footprint.key; write : bool }
 
@@ -64,14 +57,3 @@ val batch_submit : tasks:task_info array -> int
 val task_start : batch:int -> index:int -> unit
 val task_end : batch:int -> index:int -> unit
 val batch_join : batch:int -> unit
-
-(** Scheduler-side DAG synchronization events. [node_submit] allocates
-    the node id; [deps] are node ids the task was ordered after (its
-    resolved dependency edges — the happens-before edges the analyzer
-    merges at [node_start]). [graph_join]'s caller must be the thread
-    that drained the graph scope. *)
-val node_submit : name:string -> deps:int list -> int
-
-val node_start : node:int -> unit
-val node_end : node:int -> unit
-val graph_join : nodes:int list -> unit

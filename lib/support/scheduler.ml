@@ -1,518 +1,7 @@
-(* A work-stealing task-DAG scheduler.
+(* A [Pool] under its former name, kept only for the benchmark harness
+   until its next change (see the interface). *)
 
-   Tasks carry a declared {!Footprint}; dependency edges are derived at
-   submission time by testing the new task's footprint against every
-   earlier task of the open graph scope ([Footprint.conflicts]: either
-   side writes something the other touches) plus any explicitly named
-   [after] tasks. Submission order gives every edge its direction, so
-   two conflicting tasks execute in the order they were submitted —
-   which is exactly the sequential order — while disjoint tasks run
-   concurrently with no per-batch barrier in between.
+type t = Pool.t
 
-   Execution is per-domain deques under one scheduler mutex: a domain
-   pushes and pops its own deque at the bottom (LIFO — a chain of
-   dependent stage tasks stays hot on one domain) and steals from the
-   top of another's (FIFO — thieves take the oldest, most independent
-   work). The tasks are stage-granular (one pipeline stage of one
-   procedure), so a handful of lock acquisitions per task is noise next
-   to the work inside; the mutex buys simple invariants where a
-   lock-free deque would buy throughput no stage-granular workload can
-   observe.
-
-   Dynamic submission is the DAG's loop primitive: a stage task may
-   submit its successors from inside itself (the spill-decide stage
-   submits the next pass's Build when it spills), so data-dependent pass
-   counts need no upfront unrolling.
-
-   [batch_run] is the nested data-parallel primitive {!Pool.of_scheduler}
-   drives: an indexed batch executed by whichever domains reach it, the
-   submitter helping first (the same drain-your-own-batch discipline as
-   {!Pool}, so nesting cannot deadlock: a task that submits a batch
-   executes its own iterations even when every worker is busy).
-
-   Failure: the first exception of a scope marks its group failed; tasks
-   of a failed group complete without running (their dependents still
-   unblock, so the graph always drains) and the exception is re-raised
-   at the scope's join with its backtrace.
-
-   Race-detector integration: when [Race_log.on] every DAG task becomes
-   a logged node — submitted with its resolved dependency edges, started
-   and ended on its executing domain, joined at scope end — and
-   [Ra_check.Race] replays those edges as happens-before, validating
-   that the derived DAG really orders every observed shared access. *)
-
-type task = {
-  tid : int;
-  t_name : string;
-  t_fp : Footprint.t;
-  fn : unit -> unit;
-  group : group;
-  mutable unmet : int; (* incomplete dependencies *)
-  mutable dependents : task list;
-  mutable completed : bool;
-  mutable race_node : int; (* Race_log node id; -1 when not logging *)
-}
-
-and group = {
-  mutable pending : int; (* submitted but not completed *)
-  mutable failed : (exn * Printexc.raw_backtrace) option;
-}
-
-(* A growable ring buffer; all access is under the scheduler mutex.
-   [push]/[pop] work the bottom (the owner's LIFO end), [steal] the
-   top. *)
-module Deque = struct
-  type 'a t = {
-    mutable buf : 'a option array;
-    mutable head : int; (* index of the top (oldest) element *)
-    mutable len : int;
-  }
-
-  let create () = { buf = Array.make 8 None; head = 0; len = 0 }
-
-  let grow d =
-    let cap = Array.length d.buf in
-    let buf = Array.make (cap * 2) None in
-    for i = 0 to d.len - 1 do
-      buf.(i) <- d.buf.((d.head + i) mod cap)
-    done;
-    d.buf <- buf;
-    d.head <- 0
-
-  let push d x =
-    if d.len = Array.length d.buf then grow d;
-    d.buf.((d.head + d.len) mod Array.length d.buf) <- Some x;
-    d.len <- d.len + 1
-
-  let pop d =
-    if d.len = 0 then None
-    else begin
-      let i = (d.head + d.len - 1) mod Array.length d.buf in
-      let x = d.buf.(i) in
-      d.buf.(i) <- None;
-      d.len <- d.len - 1;
-      x
-    end
-
-  let steal d =
-    if d.len = 0 then None
-    else begin
-      let x = d.buf.(d.head) in
-      d.buf.(d.head) <- None;
-      d.head <- (d.head + 1) mod Array.length d.buf;
-      d.len <- d.len - 1;
-      x
-    end
-end
-
-type bt = {
-  b_fn : int -> unit;
-  b_n : int;
-  mutable b_next : int;
-  mutable b_active : int;
-  mutable b_failed : (exn * Printexc.raw_backtrace) option;
-  b_done : Condition.t;
-}
-
-type scope = {
-  sg_group : group;
-  mutable sg_tasks : task list; (* newest first; edge-derivation scan *)
-  mutable sg_nodes : int list; (* race-log node ids, newest first *)
-}
-
-type stats = {
-  tasks : int;
-  steals : int;
-  edges : int;
-  max_queue_depth : int;
-  busy_s : float array; (* per-slot wall seconds inside task bodies *)
-}
-
-type t = {
-  mutex : Mutex.t;
-  work : Condition.t;
-  deques : task Deque.t array; (* slot 0: external callers; 1..: workers *)
-  mutable batches : bt list; (* LIFO: innermost first *)
-  mutable scope : scope option;
-  mutable closed : bool;
-  mutable domains : unit Domain.t list;
-  jobs : int;
-  mutable tele : Telemetry.t;
-  mutable next_tid : int;
-  (* stats, all under the mutex except busy (per-slot, single writer) *)
-  mutable n_tasks : int;
-  mutable n_steals : int;
-  mutable n_edges : int;
-  mutable depth : int; (* ready DAG tasks currently queued *)
-  mutable max_depth : int;
-  busy : float array;
-}
-
-let jobs t = t.jobs
-
-let set_telemetry t tele = t.tele <- tele
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    { tasks = t.n_tasks;
-      steals = t.n_steals;
-      edges = t.n_edges;
-      max_queue_depth = t.max_depth;
-      busy_s = Array.copy t.busy }
-  in
-  Mutex.unlock t.mutex;
-  s
-
-let reset_stats t =
-  Mutex.lock t.mutex;
-  t.n_tasks <- 0;
-  t.n_steals <- 0;
-  t.n_edges <- 0;
-  t.max_depth <- 0;
-  Array.fill t.busy 0 (Array.length t.busy) 0.0;
-  Mutex.unlock t.mutex
-
-(* Which deque slot the calling domain owns: workers learn theirs at
-   spawn; any external caller (the main domain, a foreign pool worker)
-   shares slot 0 — safe, every deque operation holds the mutex. *)
-let slot_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-let push_ready t ~slot task =
-  Deque.push t.deques.(slot) task;
-  t.depth <- t.depth + 1;
-  if t.depth > t.max_depth then t.max_depth <- t.depth
-
-(* Pop own deque, else steal the oldest task from the fullest victim.
-   Called under the mutex. *)
-let take_task t ~slot =
-  match Deque.pop t.deques.(slot) with
-  | Some task ->
-    t.depth <- t.depth - 1;
-    Some task
-  | None ->
-    let victim = ref (-1) in
-    Array.iteri
-      (fun i d ->
-        if i <> slot && d.Deque.len > 0
-           && (!victim < 0 || d.Deque.len > t.deques.(!victim).Deque.len)
-        then victim := i)
-      t.deques;
-    if !victim < 0 then None
-    else
-      match Deque.steal t.deques.(!victim) with
-      | Some task ->
-        t.depth <- t.depth - 1;
-        t.n_steals <- t.n_steals + 1;
-        if Telemetry.enabled t.tele then
-          Telemetry.counter t.tele "sched.steals" 1;
-        Some task
-      | None -> None
-
-(* Run one DAG task. The mutex is held on entry and exit. *)
-let execute t ~slot task =
-  let skip = task.group.failed <> None in
-  Mutex.unlock t.mutex;
-  let t0 = Unix.gettimeofday () in
-  let outcome =
-    if skip then None
-    else begin
-      (let tele = t.tele in
-       if Telemetry.enabled tele then
-         Telemetry.counter tele
-           ("sched.tasks.d" ^ string_of_int (Domain.self () :> int))
-           1);
-      if task.race_node >= 0 then Race_log.node_start ~node:task.race_node;
-      let r =
-        match
-          Telemetry.span t.tele Phase.Task
-            ~args:(fun () -> [ "name", task.t_name ])
-            task.fn
-        with
-        | () -> None
-        | exception e -> Some (e, Printexc.get_raw_backtrace ())
-      in
-      (* ended before the scheduler can observe completion, so every
-         dependent's start event is appended after this end *)
-      if task.race_node >= 0 then Race_log.node_end ~node:task.race_node;
-      r
-    end
-  in
-  t.busy.(slot) <- t.busy.(slot) +. (Unix.gettimeofday () -. t0);
-  Mutex.lock t.mutex;
-  (match outcome with
-   | Some _ when task.group.failed = None -> task.group.failed <- outcome
-   | Some _ | None -> ());
-  task.completed <- true;
-  List.iter
-    (fun d ->
-      d.unmet <- d.unmet - 1;
-      if d.unmet = 0 then push_ready t ~slot d)
-    task.dependents;
-  task.dependents <- [];
-  task.group.pending <- task.group.pending - 1;
-  Condition.broadcast t.work
-
-(* Run one iteration of batch [b] (Pool-style). Mutex held on entry and
-   exit. *)
-let step_batch t ~slot (b : bt) =
-  let i = b.b_next in
-  b.b_next <- i + 1;
-  b.b_active <- b.b_active + 1;
-  Mutex.unlock t.mutex;
-  let t0 = Unix.gettimeofday () in
-  let outcome =
-    match b.b_fn i with
-    | () -> None
-    | exception e -> Some (e, Printexc.get_raw_backtrace ())
-  in
-  t.busy.(slot) <- t.busy.(slot) +. (Unix.gettimeofday () -. t0);
-  Mutex.lock t.mutex;
-  (match outcome with
-   | None -> ()
-   | Some _ ->
-     if b.b_failed = None then b.b_failed <- outcome;
-     b.b_next <- b.b_n (* cancel the rest of the batch *));
-  b.b_active <- b.b_active - 1;
-  if b.b_next >= b.b_n && b.b_active = 0 then begin
-    Condition.broadcast b.b_done;
-    Condition.broadcast t.work
-  end
-
-(* One unit of any available work: own deque, an open batch, then a
-   steal. Returns false when there is nothing to run right now. *)
-let try_work t ~slot =
-  match Deque.pop t.deques.(slot) with
-  | Some task ->
-    t.depth <- t.depth - 1;
-    execute t ~slot task;
-    true
-  | None ->
-    t.batches <- List.filter (fun b -> b.b_next < b.b_n) t.batches;
-    (match t.batches with
-     | b :: _ ->
-       step_batch t ~slot b;
-       true
-     | [] ->
-       (match take_task t ~slot with
-        | Some task ->
-          execute t ~slot task;
-          true
-        | None -> false))
-
-let worker t slot () =
-  Domain.DLS.set slot_key slot;
-  Mutex.lock t.mutex;
-  let rec loop () =
-    if try_work t ~slot then loop ()
-    else if t.closed then Mutex.unlock t.mutex
-    else begin
-      Condition.wait t.work t.mutex;
-      loop ()
-    end
-  in
-  loop ()
-
-let create ~jobs =
-  if jobs < 1 then invalid_arg "Scheduler.create: jobs must be >= 1";
-  let t =
-    { mutex = Mutex.create ();
-      work = Condition.create ();
-      deques = Array.init jobs (fun _ -> Deque.create ());
-      batches = [];
-      scope = None;
-      closed = false;
-      domains = [];
-      jobs;
-      tele = Telemetry.null;
-      next_tid = 0;
-      n_tasks = 0;
-      n_steals = 0;
-      n_edges = 0;
-      depth = 0;
-      max_depth = 0;
-      busy = Array.make jobs 0.0 }
-  in
-  t.domains <-
-    List.init (jobs - 1) (fun i -> Domain.spawn (worker t (i + 1)));
-  t
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.closed <- true;
-  Condition.broadcast t.work;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.domains;
-  t.domains <- []
-
-let submit t ?(after = []) ~name ~footprint fn =
-  Mutex.lock t.mutex;
-  if t.closed then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Scheduler.submit: scheduler is shut down"
-  end;
-  match t.scope with
-  | None ->
-    Mutex.unlock t.mutex;
-    invalid_arg "Scheduler.submit: no open graph scope (use Scheduler.run)"
-  | Some scope ->
-    (* dependency edges: every earlier task of the scope whose footprint
-       conflicts with ours, plus the explicit [after] list. Submission
-       order directs each edge, so conflicting work runs in sequential
-       order. Completed predecessors still count as edges for the race
-       log (completion is not an ordering unless recorded), they just
-       leave [unmet] alone. *)
-    let deps = ref [] in
-    let have d = List.memq d !deps in
-    List.iter (fun d -> if not (have d) then deps := d :: !deps) after;
-    List.iter
-      (fun (prior : task) ->
-        if (not (have prior)) && Footprint.conflicts footprint prior.t_fp
-        then deps := prior :: !deps)
-      scope.sg_tasks;
-    let deps = !deps in
-    let n_edges = List.length deps in
-    t.n_edges <- t.n_edges + n_edges;
-    t.n_tasks <- t.n_tasks + 1;
-    (if Telemetry.enabled t.tele then begin
-       Telemetry.counter t.tele "sched.tasks" 1;
-       if n_edges > 0 then Telemetry.counter t.tele "sched.edges" n_edges
-     end);
-    let race_node =
-      if !Race_log.on then
-        Race_log.node_submit ~name
-          ~deps:
-            (List.filter_map
-               (fun d -> if d.race_node >= 0 then Some d.race_node else None)
-               deps)
-      else -1
-    in
-    let task =
-      { tid = t.next_tid;
-        t_name = name;
-        t_fp = footprint;
-        fn;
-        group = scope.sg_group;
-        unmet = 0;
-        dependents = [];
-        completed = false;
-        race_node }
-    in
-    t.next_tid <- t.next_tid + 1;
-    scope.sg_group.pending <- scope.sg_group.pending + 1;
-    scope.sg_tasks <- task :: scope.sg_tasks;
-    if race_node >= 0 then scope.sg_nodes <- race_node :: scope.sg_nodes;
-    List.iter
-      (fun (d : task) ->
-        if not d.completed then begin
-          task.unmet <- task.unmet + 1;
-          d.dependents <- task :: d.dependents
-        end)
-      deps;
-    if task.unmet = 0 then begin
-      push_ready t ~slot:(Domain.DLS.get slot_key) task;
-      Condition.broadcast t.work
-    end;
-    Mutex.unlock t.mutex;
-    task
-
-let run t f =
-  Mutex.lock t.mutex;
-  if t.closed then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Scheduler.run: scheduler is shut down"
-  end;
-  if t.scope <> None then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Scheduler.run: a graph scope is already open"
-  end;
-  let scope =
-    { sg_group = { pending = 0; failed = None }; sg_tasks = []; sg_nodes = [] }
-  in
-  t.scope <- Some scope;
-  Mutex.unlock t.mutex;
-  let result =
-    match f () with
-    | r -> Ok r
-    | exception e ->
-      (* poison the scope so queued tasks drain without running *)
-      Mutex.lock t.mutex;
-      if scope.sg_group.failed = None then
-        scope.sg_group.failed <- Some (e, Printexc.get_raw_backtrace ());
-      Mutex.unlock t.mutex;
-      Error ()
-  in
-  (* join: the caller drains the graph alongside the workers *)
-  let slot = Domain.DLS.get slot_key in
-  Mutex.lock t.mutex;
-  let rec drain () =
-    if scope.sg_group.pending > 0 then
-      if try_work t ~slot then drain ()
-      else begin
-        Condition.wait t.work t.mutex;
-        drain ()
-      end
-  in
-  drain ();
-  t.scope <- None;
-  let failed = scope.sg_group.failed in
-  Mutex.unlock t.mutex;
-  if !Race_log.on && scope.sg_nodes <> [] then
-    Race_log.graph_join ~nodes:(List.rev scope.sg_nodes);
-  match result, failed with
-  | _, Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | Error (), None -> assert false (* poisoned above *)
-  | Ok r, None -> r
-
-let batch_run t ~n f =
-  if n <= 0 then ()
-  else begin
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Scheduler.batch_run: scheduler is shut down"
-    end;
-    let b =
-      { b_fn = f;
-        b_n = n;
-        b_next = 0;
-        b_active = 0;
-        b_failed = None;
-        b_done = Condition.create () }
-    in
-    t.batches <- b :: t.batches;
-    Condition.broadcast t.work;
-    let slot = Domain.DLS.get slot_key in
-    (* help drain our own batch, then wait for strays *)
-    while b.b_next < b.b_n do
-      step_batch t ~slot b
-    done;
-    while b.b_active > 0 do
-      Condition.wait b.b_done t.mutex
-    done;
-    t.batches <- List.filter (fun b' -> b' != b) t.batches;
-    Mutex.unlock t.mutex;
-    match b.b_failed with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end
-
-let pool t = Pool.of_scheduler ~jobs:t.jobs (fun ~n f -> batch_run t ~n f)
-
-(* ---- the process-wide shared scheduler ---- *)
-
-let global_mutex = Mutex.create ()
-let global_sched = ref None
-
-let global () =
-  Mutex.lock global_mutex;
-  let s =
-    match !global_sched with
-    | Some s -> s
-    | None ->
-      let s = create ~jobs:(Pool.default_jobs ()) in
-      global_sched := Some s;
-      s
-  in
-  Mutex.unlock global_mutex;
-  s
+let create = Pool.create
+let shutdown = Pool.shutdown

@@ -6,18 +6,16 @@ Checks, in order:
   2. every complete ("ph": "X") span nests properly within its
      per-thread (per-domain) track — spans on one tid either disjoint
      or strictly contained, never partially overlapping;
-  3. the trace covers the allocator's documented stages. Two shapes:
-     the flat pipeline (RA_SCHED=flat, or a single-routine alloc) has an
-     `alloc` root with at least one `pass` and `build` / `simplify` /
-     `color` spans under it; the task-DAG schedule (RA_SCHED=dag) wraps
-     every stage in a `task` span instead — `task` spans plus the same
-     stage spans, and at least one `sched.tasks`-family counter sample.
+  3. the trace covers the allocator's documented stages: `alloc` spans
+     with at least one `pass` and `build` / `simplify` / `color` span.
      Under `--heuristic irc` the worklist engine's `coalesce` span
      subsumes `simplify` (simplification and coalescing interleave in
      one loop), so either name satisfies that slot (spill phases appear
-     only when something spills in either shape);
-  4. when more than one domain participated, at least one pooled `scan`
-     or stolen `task` span is tagged with a non-main tid.
+     only when something spills);
+  4. on every domain track — the main one and any worker's — each
+     top-level span is a unit a pool task runs: a matrix cell's `alloc`,
+     a shared first-pass `lint` / `build`, or a pooled `scan`. Stage
+     spans never float outside them.
 
 Exit status 0 on success; 1 with a message on the first violation.
 Usage: check_trace.py TRACE.json
@@ -57,6 +55,7 @@ def main(path):
     # serialized at microsecond %.3f precision, so boundaries can disagree
     # by a few nanoseconds of rounding; EPS absorbs that, nothing more.
     EPS = 5e-3
+    TOP_LEVEL = ("alloc", "lint", "build", "scan")
     by_tid = {}
     for e in spans:
         by_tid.setdefault(e["tid"], []).append(e)
@@ -67,6 +66,11 @@ def main(path):
             end = e["ts"] + e["dur"]
             while stack and e["ts"] >= stack[-1] - EPS:
                 stack.pop()
+            if not stack and e["name"] not in TOP_LEVEL:
+                fail(
+                    f"tid {tid}: top-level span {e['name']!r} at "
+                    f"{e['ts']:.3f} is none of {', '.join(TOP_LEVEL)}"
+                )
             if stack and end > stack[-1] + EPS:
                 fail(
                     f"tid {tid}: span {e['name']!r} "
@@ -76,13 +80,7 @@ def main(path):
             stack.append(end)
 
     names = {e["name"] for e in spans}
-    dag = "task" in names
-    required = (
-        ("task", "build", "simplify", "color")
-        if dag
-        else ("alloc", "pass", "build", "simplify", "color")
-    )
-    for name in required:
+    for name in ("alloc", "pass", "build", "simplify", "color"):
         # the IRC worklist interleaves simplification with coalescing in
         # one loop and spans the whole thing as 'coalesce'; an irc-only
         # trace legitimately has no 'simplify' span
@@ -90,30 +88,8 @@ def main(path):
             continue
         if name not in names:
             fail(f"no {name!r} span in the trace (have: {sorted(names)})")
-    if dag:
-        sched_counters = [
-            e
-            for e in events
-            if e.get("ph") == "C" and str(e.get("name", "")).startswith("sched.")
-        ]
-        if not sched_counters:
-            fail("DAG trace ('task' spans) has no 'sched.*' counter samples")
 
     tids = {e["tid"] for e in spans}
-    if len(tids) > 1:
-        root = "task" if dag else "alloc"
-        main_tid = min(e["tid"] for e in spans if e["name"] == root)
-        offloaded = [
-            e
-            for e in spans
-            if e["name"] in ("scan", "task") and e["tid"] != main_tid
-        ]
-        if not offloaded:
-            fail(
-                f"{len(tids)} domains emitted spans but no pooled 'scan' or "
-                "stolen 'task' span carries a worker tid"
-            )
-
     n_counters = sum(1 for e in events if e.get("ph") == "C")
     print(
         f"check_trace: OK — {len(events)} events, {len(spans)} spans, "

@@ -4,7 +4,6 @@ let () =
   Alcotest.run "regalloc"
     (Test_support.suites
     @ Test_pool.suites
-    @ Test_sched.suites
     @ Test_frontend.suites
     @ Test_ir.suites
     @ Test_analysis.suites

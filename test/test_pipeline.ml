@@ -358,6 +358,121 @@ let matula_euler_main_expected_failure () =
     Alcotest.(check bool) "diagnostic explains the cost-blind order" true
       (contains_sub m "matula" && contains_sub m "unspillable")
 
+(* ---- the matrix driver ≡ one sequential allocation per cell ---- *)
+
+(* Everything observable about a result except CPU time and the edge
+   cache's hit counters. *)
+let fingerprint (r : Allocator.result) =
+  ( List.map
+      (fun (p : Allocator.pass_record) ->
+        ( p.pass_index, p.webs_initial, p.webs_coalesced, p.nodes_int,
+          p.nodes_flt, p.edges_int, p.edges_flt, p.spilled, p.spill_cost ))
+      r.Allocator.passes,
+    r.Allocator.live_ranges,
+    r.Allocator.total_spilled,
+    r.Allocator.total_spill_cost,
+    r.Allocator.moves_removed,
+    Proc.to_string r.Allocator.proc )
+
+let with_pool ~jobs f =
+  let pool = Ra_support.Pool.create ~jobs in
+  Fun.protect
+    ~finally:(fun () -> Ra_support.Pool.shutdown pool)
+    (fun () -> f pool)
+
+(* The matrix's fingerprints at [jobs], or the failure it raised. *)
+let matrix_fps ?coalesce ?edge_cache ?(heuristics = all_heuristics) ~jobs
+    machine procs =
+  with_pool ~jobs (fun pool ->
+    match
+      Batch.allocate_matrix ?coalesce ?edge_cache ~scheduler:pool machine
+        heuristics procs
+    with
+    | cols -> Ok (List.map (List.map fingerprint) cols)
+    | exception Allocator.Allocation_failure _ -> Error ())
+
+(* The reference: one warm sequential [Allocator.allocate] per cell, a
+   context per heuristic reused across the routines; [Error ()] when
+   any cell fails, since the matrix then raises as a whole. *)
+let sequential_fps ?coalesce ?edge_cache ?(heuristics = all_heuristics)
+    machine procs =
+  match
+    List.map
+      (fun h ->
+        let context = Context.create ?edge_cache ~jobs:1 machine in
+        List.map
+          (fun p ->
+            fingerprint (Allocator.allocate ?coalesce ~context machine h p))
+          procs)
+      heuristics
+  with
+  | cols -> Ok cols
+  | exception Allocator.Allocation_failure _ -> Error ()
+
+let matrix_matches_sequential_on_quicksort () =
+  let machine = Machine.rt_pc in
+  let procs = Ra_programs.Suite.compile Ra_programs.Suite.quicksort in
+  let expected = sequential_fps machine procs in
+  Alcotest.(check bool) "sequential reference allocates" true
+    (Result.is_ok expected);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: matrix bit-identical" jobs)
+        true
+        (matrix_fps ~jobs machine procs = expected))
+    [ 1; 2; 4; 8 ];
+  (* Without coalescing the shared build is an Off build, and so is each
+     irc cell's own. Cost-blind Matula cannot allocate quicksort then,
+     so the comparison runs without it — and with it, both sides fail. *)
+  let heuristics = Heuristic.[ Chaitin; Briggs; Irc ] in
+  let expected = sequential_fps ~coalesce:false ~heuristics machine procs in
+  Alcotest.(check bool) "coalesce=false: sequential reference allocates" true
+    (Result.is_ok expected);
+  Alcotest.(check bool) "coalesce=false jobs=4: matrix bit-identical" true
+    (matrix_fps ~coalesce:false ~heuristics ~jobs:4 machine procs = expected);
+  Alcotest.(check bool) "coalesce=false with matula: the matrix raises" true
+    (matrix_fps ~coalesce:false ~jobs:4 machine procs = Error ());
+  (* irc never consumes the classic heuristics' shared build: the driver
+     refuses a first pass built in another coalesce mode *)
+  let cfgn =
+    { Pipeline.coalesce = true;
+      max_passes = 32;
+      spill_base = Spill_costs.default_base;
+      rematerialize = true;
+      verify = false }
+  in
+  let proc = List.hd procs in
+  let first =
+    Pipeline.build_shared cfgn machine ~tele:Ra_support.Telemetry.null
+      Heuristic.Briggs proc
+  in
+  Alcotest.check_raises "irc rejects the shared Aggressive build"
+    (Invalid_argument "Pipeline.run: first pass built for another coalesce mode")
+    (fun () ->
+      ignore
+        (Pipeline.run ~first cfgn ~context:(Context.create ~jobs:1 machine)
+           machine Heuristic.Irc proc))
+
+let prop_matrix_equals_sequential =
+  QCheck.Test.make
+    ~name:"random programs: matrix ≡ sequential allocate (width x edge cache)"
+    ~count:6
+    QCheck.(
+      quad (int_bound 1000000) (int_range 5 25) (oneofl [ 1; 2; 4; 8 ]) bool)
+    (fun (seed, size, jobs, edge_cache) ->
+      let machine = Machine.rt_pc in
+      let procs = Codegen.compile_source (Progen.generate ~seed ~size) in
+      if
+        matrix_fps ~edge_cache ~jobs machine procs
+        <> sequential_fps ~edge_cache machine procs
+      then
+        QCheck.Test.fail_reportf
+          "matrix and sequential outcomes diverge (seed %d, size %d, jobs \
+           %d, cache %b)"
+          seed size jobs edge_cache;
+      true)
+
 let suites =
   [ ( "core.pipeline",
       [ Alcotest.test_case "golden: suite matches pre-refactor seed" `Slow
@@ -370,5 +485,8 @@ let suites =
           `Quick spill_groups_sorted;
         Alcotest.test_case "allocator facade equals pipeline" `Quick
           facade_equals_pipeline;
+        Alcotest.test_case "matrix matches sequential on quicksort" `Quick
+          matrix_matches_sequential_on_quicksort;
+        qtest prop_matrix_equals_sequential;
         qtest prop_pipeline_mode_invariant;
         qtest prop_irc_conservative_never_spills_more ] ) ]

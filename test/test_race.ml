@@ -231,11 +231,11 @@ let pool_counters () =
 
 let machine = Machine.rt_pc
 
-let allocate_all_checked ?(coalesce = true) ~jobs ~edge_cache ~heuristic
-    program =
+let allocate_all_checked ?(coalesce = true) ?verify ~jobs ~edge_cache
+    ~heuristic program =
   with_pool ~jobs (fun pool ->
     let procs = Ra_programs.Suite.compile program in
-    let ctx = Context.create ~edge_cache ~pool machine in
+    let ctx = Context.create ?verify ~edge_cache ~pool machine in
     let _, diags =
       Race.with_check (fun () ->
         List.iter
@@ -252,14 +252,18 @@ let allocate_all_checked ?(coalesce = true) ~jobs ~edge_cache ~heuristic
     in
     diags)
 
+(* The seeded run's context pins [~verify:false]: under RA_VERIFY the
+   build's own cross-check would raise [Build.Divergence] before the
+   detector could report, and this test is about the detector. The
+   verified run is asserted separately, so that coverage stays pinned. *)
 let seeded_cache_race_is_caught () =
   Build.seeded_cache_race := true;
   Fun.protect
     ~finally:(fun () -> Build.seeded_cache_race := false)
     (fun () ->
       let diags =
-        allocate_all_checked ~jobs:4 ~edge_cache:true ~heuristic:Heuristic.Briggs
-          Ra_programs.Suite.quicksort
+        allocate_all_checked ~verify:false ~jobs:4 ~edge_cache:true
+          ~heuristic:Heuristic.Briggs Ra_programs.Suite.quicksort
       in
       Alcotest.(check bool) "seeded race reported as a data race" true
         (has_check "data-race" diags);
@@ -270,7 +274,14 @@ let seeded_cache_race_is_caught () =
            (fun d ->
              Diagnostic.is_error d
              && contains_sub d.Diagnostic.message "edge-cache")
-           diags))
+           diags);
+      Alcotest.(check bool) "the verified run raises Build.Divergence" true
+        (match
+           allocate_all_checked ~verify:true ~jobs:4 ~edge_cache:true
+             ~heuristic:Heuristic.Briggs Ra_programs.Suite.quicksort
+         with
+         | _ -> false
+         | exception Build.Divergence _ -> true))
 
 let suite_sweep () =
   let programs =
@@ -328,6 +339,20 @@ let procedure_dispatch_clean () =
     in
     check_no_errors "procedure-level dispatch race-clean" diags)
 
+(* The matrix shares each routine's first-pass build among concurrently
+   allocated cells, which must only ever read it. *)
+let matrix_shared_builds_clean () =
+  with_pool ~jobs:4 (fun pool ->
+    let procs = Ra_programs.Suite.compile Ra_programs.Suite.quicksort in
+    let _, diags =
+      Race.with_check (fun () ->
+        ignore
+          (Batch.allocate_matrix ~scheduler:pool machine
+             Heuristic.[ Chaitin; Briggs; Matula; Irc ]
+             procs))
+    in
+    check_no_errors "matrix with shared first-pass builds race-clean" diags)
+
 let prop_random_programs_race_clean =
   QCheck.Test.make
     ~name:"random programs allocate race-clean and footprint-conformant"
@@ -381,4 +406,6 @@ let suites =
           suite_sweep_widths;
         Alcotest.test_case "procedure dispatch race-clean" `Quick
           procedure_dispatch_clean;
+        Alcotest.test_case "matrix shared builds race-clean" `Quick
+          matrix_shared_builds_clean;
         qtest prop_random_programs_race_clean ] ) ]
