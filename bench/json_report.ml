@@ -1,18 +1,18 @@
 (* `bench/main.exe [picks] --json` — machine-readable allocation report.
 
-   Every selected routine is allocated in four modes per heuristic: with
-   an incremental context (structures patched across spill passes, edge
-   cache off), with incrementality disabled (from-scratch builds every
-   pass), with an incremental context whose graph build runs on a domain
-   pool, and with the per-block edge cache on (dirty-block rescans across
-   coalescing rounds and spill passes). Each mode runs a few times and
-   the per-pass phase times keep the element-wise minimum. The runs must agree on everything
-   except CPU time — pass-by-pass counters, spill totals, and the final
-   allocated code — and the report records all four time series so the
-   pass-2+ build-time saving, the parallel build time, and the cached
-   rescan saving are visible in the committed artifact. Each pass also
-   records the cached run's coalescing-round count, edge-cache hit rate
-   and fraction of blocks rescanned. It also times the FULL benchmark
+   Every selected routine is allocated per heuristic in two columns of
+   the one Build configuration (incremental across spill passes, edge
+   cache on): [sequential], on a jobs-1 context, and [pooled], on a
+   context whose block rescans are sharded over a domain pool. Each
+   column runs a few times and the per-pass phase times keep the
+   element-wise minimum. The columns must agree on everything except
+   CPU time — pass-by-pass counters, spill totals, and the final
+   allocated code. One more run goes through a pooled [verify] context,
+   which checks every incremental pass and every cached coalescing round
+   against the uncached from-scratch reference build; a [Divergence] it
+   raises, or a fingerprint that differs, is a divergence. Each pass
+   also records the coalescing-round count, edge-cache hit rate and
+   fraction of blocks rescanned. It also times the FULL benchmark
    suite (every routine, every heuristic, regardless of picks) end to
    end two ways — sequentially on one warm context, and as the
    procedure × heuristic matrix ({!Batch.allocate_matrix}: first-pass
@@ -21,11 +21,11 @@
    regression and the process exits non-zero. It also times the suite with
    telemetry disabled versus buffering every span, asserting the
    disabled path stays free. Aggregate cache behaviour comes straight
-   off the pipeline's telemetry counters (the cached context reports
+   off the pipeline's telemetry counters (the sequential context reports
    into a sink). Any disagreement is a divergence: it is reported in the
    JSON and the process exits non-zero (CI runs this as a smoke check
-   with RA_JOBS=4, so zero divergences is asserted for the parallel,
-   cached and matrix paths on every push). *)
+   with RA_JOBS=4, so zero divergences is asserted for the pooled,
+   verified and matrix paths on every push). *)
 
 open Ra_core
 
@@ -112,7 +112,7 @@ let routines_for picks =
   else List.map (fun p -> (p, None)) Ra_programs.Suite.all
 
 (* One timing sample per pass is hostage to scheduler noise, so each
-   mode allocates every routine [reps] times and the report keeps the
+   column allocates every routine [reps] times and the report keeps the
    element-wise minimum of the per-pass phase times. Everything else
    about the runs is deterministic — the repetitions must produce equal
    fingerprints, which the divergence check below sees through the
@@ -146,7 +146,7 @@ let wall f =
 
 let run ~picks () =
   let machine = Machine.rt_pc in
-  (* at least 2 workers so the parallel path is exercised — and asserted
+  (* at least 2 workers so the pooled column is exercised — and asserted
      against the sequential builds — even on a single-core runner. The
      default is pinned before anything touches the shared pool, fixing
      it at this width. The suite-wall matrix pool below is sized to
@@ -156,21 +156,15 @@ let run ~picks () =
   let jobs = max 2 hw_jobs in
   Ra_support.Pool.set_default_jobs jobs;
   let pool = Ra_support.Pool.create ~jobs in
-  (* the cached mode's context reports into a real sink: the aggregate
-     edge-cache section below reads the pipeline's own counters off it
-     instead of re-accumulating pass records by hand *)
-  let cac_tele = Ra_support.Telemetry.create () in
-  let inc_ctx =
-    Context.create ~incremental:true ~edge_cache:false ~jobs:1 machine
-  in
-  let scr_ctx =
-    Context.create ~incremental:false ~edge_cache:false ~jobs:1 machine
-  in
-  let par_ctx = Context.create ~incremental:true ~pool machine in
-  let cac_ctx =
-    Context.create ~incremental:true ~edge_cache:true ~tele:cac_tele ~jobs:1
-      machine
-  in
+  (* the sequential column's context reports into a real sink: the
+     aggregate edge-cache section below reads the pipeline's own counters
+     off it instead of re-accumulating pass records by hand *)
+  let seq_tele = Ra_support.Telemetry.create () in
+  let seq_ctx = Context.create ~tele:seq_tele ~jobs:1 machine in
+  let pool_ctx = Context.create ~pool machine in
+  (* the verified rep: cross-checked against the uncached from-scratch
+     reference at every pass and every round *)
+  let ver_ctx = Context.create ~verify:true ~pool machine in
   let divergences = ref [] in
   let entries = ref 0 in
   let buf = Buffer.create 4096 in
@@ -194,12 +188,10 @@ let run ~picks () =
               (* a cell the heuristic cannot allocate at all (Matula on
                  euler_main) gets no benchmark entry; the probe pass
                  below records it in the report's "excluded" list *)
-              match allocate_best ~context:inc_ctx machine h proc with
+              match allocate_best ~context:seq_ctx machine h proc with
               | exception Pipeline.Allocation_failure _ -> ()
-              | inc ->
-              let scr = allocate_best ~context:scr_ctx machine h proc in
-              let par = allocate_best ~context:par_ctx machine h proc in
-              let cac = allocate_best ~context:cac_ctx machine h proc in
+              | seq ->
+              let pooled = allocate_best ~context:pool_ctx machine h proc in
               let diverge tag =
                 divergences :=
                   Printf.sprintf "%s/%s/%s/%s"
@@ -207,12 +199,16 @@ let run ~picks () =
                     (Heuristic.name h) tag
                   :: !divergences
               in
-              let inc_ok = fingerprint inc = fingerprint scr in
-              let par_ok = fingerprint par = fingerprint scr in
-              let cac_ok = fingerprint cac = fingerprint scr in
-              if not inc_ok then diverge "incremental";
-              if not par_ok then diverge "parallel";
-              if not cac_ok then diverge "cached";
+              let pooled_ok = fingerprint pooled = fingerprint seq in
+              if not pooled_ok then diverge "pooled";
+              let verified_ok =
+                match Allocator.allocate ~context:ver_ctx machine h proc with
+                | r -> fingerprint r = fingerprint seq
+                | exception (Build.Divergence m | Context.Divergence m) ->
+                  Printf.eprintf "verify: %s\n" m;
+                  false
+              in
+              if not verified_ok then diverge "verified";
               if not !first_entry then Buffer.add_string buf ",";
               first_entry := false;
               incr entries;
@@ -225,30 +221,30 @@ let run ~picks () =
                     \"moves_coalesced\": %d,\n     \
                     \"per_pass\": ["
                    program.Ra_programs.Suite.pname proc.name
-                   (Heuristic.name h) (inc_ok && par_ok && cac_ok)
-                   inc.Allocator.live_ranges
-                   (List.length inc.Allocator.passes)
-                   inc.Allocator.total_spilled
-                   (json_cost inc.Allocator.total_spill_cost)
-                   inc.Allocator.moves_removed
+                   (Heuristic.name h) (pooled_ok && verified_ok)
+                   seq.Allocator.live_ranges
+                   (List.length seq.Allocator.passes)
+                   seq.Allocator.total_spilled
+                   (json_cost seq.Allocator.total_spill_cost)
+                   seq.Allocator.moves_removed
                    (List.fold_left
                       (fun acc p -> acc + p.Allocator.webs_coalesced)
-                      0 inc.Allocator.passes));
+                      0 seq.Allocator.passes));
               (* zip without raising when a divergence changed the pass
-                 count; the shortest series bounds the table *)
-              let rec zip4 a b c d =
-                match a, b, c, d with
-                | x :: a, y :: b, z :: c, w :: d -> (x, y, z, w) :: zip4 a b c d
-                | _, _, _, _ -> []
+                 count; the shorter series bounds the table *)
+              let rec zip a b =
+                match a, b with
+                | x :: a, y :: b -> (x, y) :: zip a b
+                | _, _ -> []
               in
               List.iteri
-                (fun i (pi, ps, pp, pc) ->
+                (fun i (ps, pp) ->
                   if i > 0 then Buffer.add_string buf ",";
                   let idx, webs, coalesced, _, _, _, _, spilled, spill_cost =
-                    (strip pi).counters
+                    (strip ps).counters
                   in
-                  let hits = pc.Allocator.cache_hits in
-                  let misses = pc.Allocator.cache_misses in
+                  let hits = ps.Allocator.cache_hits in
+                  let misses = ps.Allocator.cache_misses in
                   let scans = hits + misses in
                   let rate part =
                     if scans = 0 then "null"
@@ -263,18 +259,13 @@ let run ~picks () =
                         \"cache_hit_rate\": %s, \
                         \"blocks_rescanned_frac\": %s,\n        "
                        idx webs coalesced spilled (json_cost spill_cost)
-                       pc.Allocator.build_rounds hits misses (rate hits)
+                       ps.Allocator.build_rounds hits misses (rate hits)
                        (rate misses));
-                  buf_times buf "incremental" (strip pi);
+                  buf_times buf "sequential" (strip ps);
                   Buffer.add_string buf ",\n        ";
-                  buf_times buf "scratch" (strip ps);
-                  Buffer.add_string buf ",\n        ";
-                  buf_times buf "parallel" (strip pp);
-                  Buffer.add_string buf ",\n        ";
-                  buf_times buf "cached" (strip pc);
+                  buf_times buf "pooled" (strip pp);
                   Buffer.add_string buf "}")
-                (zip4 inc.Allocator.passes scr.Allocator.passes
-                   par.Allocator.passes cac.Allocator.passes);
+                (zip seq.Allocator.passes pooled.Allocator.passes);
               Buffer.add_string buf "]}")
             heuristics)
         procs)
@@ -513,17 +504,16 @@ let run ~picks () =
       Printf.sprintf "race check: %d error(s) on the benchmark suite"
         !race_errors
       :: !divergences;
-  let inc_stats = Context.stats inc_ctx in
-  let scr_stats = Context.stats scr_ctx in
+  let seq_stats = Context.stats seq_ctx in
   (* aggregate cache behaviour straight off the pipeline's counters on
-     the cached context's sink — totals cover every cached-mode
+     the sequential context's sink — totals cover every sequential
      allocation above, timing repetitions included, so the hit *rate* is
      the comparable number *)
   let cache_hits_total =
-    Ra_support.Telemetry.counter_total cac_tele "edge_cache.hits"
+    Ra_support.Telemetry.counter_total seq_tele "edge_cache.hits"
   in
   let cache_misses_total =
-    Ra_support.Telemetry.counter_total cac_tele "edge_cache.misses"
+    Ra_support.Telemetry.counter_total seq_tele "edge_cache.misses"
   in
   let total_scans = cache_hits_total + cache_misses_total in
   (* analysis-cache behaviour: the dominator/loop cache is consumed by
@@ -533,7 +523,7 @@ let run ~picks () =
      read the cache's own counters — hits come from loop-depth lints
      reusing the dominator entry, repeat heuristics on a routine, and
      re-keyed entries surviving spill-patch passes. *)
-  let aca_ctx = Context.create ~incremental:true ~verify:true ~jobs:1 machine in
+  let aca_ctx = Context.create ~verify:true ~jobs:1 machine in
   List.iter
     (fun p ->
       List.iter
@@ -559,8 +549,7 @@ let run ~picks () =
         \"race_check\": {\"disabled_wall_s\": %.6f, \
         \"checked_wall_s\": %.6f, \"errors\": %d},\n  \
         \"context\": {\"incremental_builds\": %d, \
-        \"scratch_builds\": %d, \"verified_builds\": %d, \
-        \"reference_scratch_builds\": %d},\n  \
+        \"scratch_builds\": %d, \"verified_builds\": %d},\n  \
         \"edge_cache\": {\"hits\": %d, \"misses\": %d, \
         \"hit_rate\": %s},\n  \
         \"analysis_cache\": {\"hits\": %d, \"misses\": %d, \
@@ -588,10 +577,10 @@ let run ~picks () =
        (String.concat ", "
           (List.map
              (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v)
-             (Ra_support.Telemetry.counter_totals cac_tele)))
+             (Ra_support.Telemetry.counter_totals seq_tele)))
        race_off_s race_on_s !race_errors
-       inc_stats.Context.incremental_builds inc_stats.Context.scratch_builds
-       inc_stats.Context.verified_builds scr_stats.Context.scratch_builds
+       seq_stats.Context.incremental_builds seq_stats.Context.scratch_builds
+       (Context.stats ver_ctx).Context.verified_builds
        cache_hits_total cache_misses_total
        (if total_scans = 0 then "null"
         else

@@ -10,11 +10,12 @@
 
    With --json the harness instead allocates the selected routine set
    (fig7's four multi-pass routines for `fig7 --json`, the whole suite
-   otherwise) three ways — incremental context, incrementality disabled,
-   and incremental with the pool-parallel graph build — writes the
-   per-pass phase times of all modes plus a sequential-vs-dispatched
-   suite wall-clock to BENCH_alloc.json, and exits non-zero if any mode
-   disagrees with another on anything but CPU time.
+   otherwise) in two columns — a sequential context and one whose block
+   rescans run on the pool, plus one pooled run verified against the
+   uncached from-scratch reference build — writes the per-pass phase
+   times of both columns plus a sequential-vs-matrix suite wall-clock to
+   BENCH_alloc.json, and exits non-zero if the columns disagree on
+   anything but CPU time or a verified run diverges.
 
    --jobs=N (any mode) sets the worker-domain count, like RA_JOBS. *)
 

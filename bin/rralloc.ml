@@ -58,9 +58,22 @@ let heuristic_arg =
   Arg.(value & opt string "briggs" & info [ "heuristic"; "H" ] ~docv:"NAME"
          ~doc:"Coloring heuristic: chaitin, briggs, matula or irc")
 
+(* The machine model needs at least two integer registers, so a smaller
+   K is a malformed option (exit 124), not an allocation attempt. *)
+let k_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 2 -> Ok k
+    | Some _ | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "invalid value '%s', expected an integer >= 2" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let k_arg =
-  Arg.(value & opt (some int) None & info [ "k" ] ~docv:"K"
-         ~doc:"Restrict the integer register file to K registers")
+  Arg.(value & opt (some k_conv) None & info [ "k" ] ~docv:"K"
+         ~doc:"Restrict the integer register file to K registers (K >= 2)")
 
 let opt_arg =
   Arg.(value & flag & info [ "O"; "optimize" ]
@@ -79,12 +92,6 @@ let jobs_arg =
                or the core count; 1 disables). Results are bit-identical \
                at any setting.")
 
-let no_cache_arg =
-  Arg.(value & flag & info [ "no-edge-cache" ]
-         ~doc:"Disable the per-block interference edge cache: every build \
-               round rescans all blocks (same as RA_EDGE_CACHE=0). \
-               Results are bit-identical either way.")
-
 let race_arg =
   Arg.(value & flag & info [ "race-check" ]
          ~doc:"Record every shared-structure access during allocation and \
@@ -99,9 +106,6 @@ let trace_arg =
                to PATH at exit: a Chrome trace_event JSON array \
                (about://tracing / Perfetto), or JSON lines when PATH \
                ends in .jsonl (same as setting RA_TRACE=PATH)")
-
-(* None = follow the RA_EDGE_CACHE default; Some false = --no-edge-cache *)
-let edge_cache_opt no_cache = if no_cache then Some false else None
 
 (* --trace overrides RA_TRACE; must run before the first allocation
    configures the ambient telemetry sink. *)
@@ -129,8 +133,8 @@ let apply_jobs jobs = Option.iter Ra_support.Pool.set_default_jobs jobs
    completed (a routine with no legal coloring, or one --verify rejects)
    is reported, not raised: the first stderr line names the routine and
    the reason, and the exit code is 2. *)
-let allocate_batch ?edge_cache ?verify machine h procs =
-  match Ra_core.Batch.allocate_matrix ?edge_cache ?verify machine [ h ] procs with
+let allocate_batch ?verify machine h procs =
+  match Ra_core.Batch.allocate_matrix ?verify machine [ h ] procs with
   | [ results ] -> results
   | _ -> assert false
   | exception Ra_core.Allocator.Allocation_failure reason ->
@@ -173,8 +177,7 @@ let dump_cmd =
 (* ---- alloc ---- *)
 
 let alloc_cmd =
-  let run file proc heuristic k verbose optimize verify jobs no_cache race
-      trace =
+  let run file proc heuristic k verbose optimize verify jobs race trace =
     apply_trace trace;
     apply_jobs jobs;
     let machine = machine_of_k k in
@@ -183,7 +186,6 @@ let alloc_cmd =
     let results =
       race_scope race (fun () ->
         allocate_batch
-          ?edge_cache:(edge_cache_opt no_cache)
           ?verify:(if verify then Some true else None)
           machine h procs)
     in
@@ -205,8 +207,7 @@ let alloc_cmd =
   in
   Cmd.v (Cmd.info "alloc" ~doc:"Register-allocate and report statistics")
     Term.(const run $ file_arg $ proc_arg $ heuristic_arg $ k_arg $ verbose
-          $ opt_arg $ verify_arg $ jobs_arg $ no_cache_arg $ race_arg
-          $ trace_arg)
+          $ opt_arg $ verify_arg $ jobs_arg $ race_arg $ trace_arg)
 
 (* ---- run ---- *)
 
@@ -221,8 +222,8 @@ let parse_value s =
        exit 1)
 
 let run_cmd =
-  let run file entry args heuristic allocate k optimize verify jobs no_cache
-      race trace =
+  let run file entry args heuristic allocate k optimize verify jobs race
+      trace =
     apply_trace trace;
     apply_jobs jobs;
     let procs = compile ~optimize file in
@@ -234,7 +235,6 @@ let run_cmd =
           (fun (r : Ra_core.Allocator.result) -> r.Ra_core.Allocator.proc)
           (race_scope race (fun () ->
              allocate_batch
-               ?edge_cache:(edge_cache_opt no_cache)
                ?verify:(if verify then Some true else None)
                machine h procs))
       end
@@ -267,13 +267,12 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a procedure under the VM")
     Term.(const run $ file_arg $ entry $ args $ heuristic_arg $ allocate
-          $ k_arg $ opt_arg $ verify_arg $ jobs_arg $ no_cache_arg
-          $ race_arg $ trace_arg)
+          $ k_arg $ opt_arg $ verify_arg $ jobs_arg $ race_arg $ trace_arg)
 
 (* ---- suite ---- *)
 
 let suite_cmd =
-  let run name heuristic k allocate jobs no_cache race trace =
+  let run name heuristic k allocate jobs race trace =
     apply_trace trace;
     apply_jobs jobs;
     let program =
@@ -300,9 +299,7 @@ let suite_cmd =
         let h = heuristic_of_name heuristic in
         List.map
           (fun (r : Ra_core.Allocator.result) -> r.Ra_core.Allocator.proc)
-          (race_scope race (fun () ->
-             allocate_batch
-               ?edge_cache:(edge_cache_opt no_cache) machine h procs))
+          (race_scope race (fun () -> allocate_batch machine h procs))
       end
       else procs
     in
@@ -328,7 +325,7 @@ let suite_cmd =
   in
   Cmd.v (Cmd.info "suite" ~doc:"Run a benchmark-suite program under the VM")
     Term.(const run $ prog_name $ heuristic_arg $ k_arg $ allocate $ jobs_arg
-          $ no_cache_arg $ race_arg $ trace_arg)
+          $ race_arg $ trace_arg)
 
 (* ---- synth ---- *)
 
@@ -359,7 +356,7 @@ let synth_cmd =
 (* ---- compare ---- *)
 
 let compare_cmd =
-  let run file k optimize jobs no_cache race trace =
+  let run file k optimize jobs race trace =
     apply_trace trace;
     apply_jobs jobs;
     let machine = machine_of_k k in
@@ -396,8 +393,7 @@ let compare_cmd =
       (* the comparison matrix proper: each procedure's first-pass
          build is shared by chaitin, briggs and matula *)
       race_scope race (fun () ->
-        Ra_core.Batch.allocate_matrix ?edge_cache:(edge_cache_opt no_cache)
-          machine hs
+        Ra_core.Batch.allocate_matrix machine hs
           (List.map (fun (p, _) -> p) matrix_procs))
     in
     let matrix_cells = Hashtbl.create 16 in
@@ -462,8 +458,8 @@ let compare_cmd =
     (Cmd.info "compare"
        ~doc:"Per-procedure spill statistics across all four heuristics \
              (chaitin, briggs, matula, irc)")
-    Term.(const run $ file_arg $ k_arg $ opt_arg $ jobs_arg $ no_cache_arg
-          $ race_arg $ trace_arg)
+    Term.(const run $ file_arg $ k_arg $ opt_arg $ jobs_arg $ race_arg
+          $ trace_arg)
 
 let () =
   let info = Cmd.info "rralloc" ~doc:"Briggs-style graph-coloring register allocator" in

@@ -61,7 +61,7 @@ let stamp ~result ~scratch =
   Bitset.set_key scratch key;
   uid
 
-let compute ~code ~cfg numbering =
+let compute ~cfg numbering =
   let n = Ra_ir.Cfg.n_blocks cfg in
   let universe = numbering.universe in
   let gen = Array.init n (fun _ -> Bitset.create universe) in
@@ -73,7 +73,6 @@ let compute ~code ~cfg numbering =
   let result =
     Dataflow.solve ~cfg ~universe ~gen ~kill ~direction:Dataflow.Backward ()
   in
-  ignore code;
   let scratch = Bitset.create universe in
   let uid = stamp ~result ~scratch in
   { numbering; cfg; gen; kill; result; scratch; uid; dirty = [] }
@@ -96,8 +95,7 @@ let compute ~code ~cfg numbering =
    blocks (the only blocks whose transfer functions changed) suffices to
    reach it. Under RA_VERIFY the allocator cross-checks this against a
    from-scratch [compute]. *)
-let update ~old ~code ~cfg numbering ~remap ~dirty_blocks =
-  ignore code;
+let update ~old ~cfg numbering ~remap ~dirty_blocks =
   let n = Ra_ir.Cfg.n_blocks cfg in
   let universe = numbering.universe in
   if Ra_ir.Cfg.n_blocks old.cfg <> n then
@@ -178,8 +176,7 @@ let update ~old ~code ~cfg numbering ~remap ~dirty_blocks =
    reads them), recompute gen/kill for the dirty blocks, and run a full
    solve from empty sets — reaching the exact least fixpoint a
    from-scratch [compute] would. *)
-let refresh ~old ~code ~cfg numbering ~dirty_blocks =
-  ignore code;
+let refresh ~old ~cfg numbering ~dirty_blocks =
   let n = Ra_ir.Cfg.n_blocks cfg in
   let universe = numbering.universe in
   if old.numbering.universe <> universe then

@@ -19,10 +19,9 @@ val vreg_numbering : Ra_ir.Proc.t -> numbering
 (** Index of a register under {!vreg_numbering}. *)
 val vreg_index : Ra_ir.Proc.t -> Ra_ir.Reg.t -> int
 
-val compute :
-  code:Ra_ir.Proc.node array -> cfg:Ra_ir.Cfg.t -> numbering -> t
+val compute : cfg:Ra_ir.Cfg.t -> numbering -> t
 
-(** [update ~old ~code ~cfg numbering ~remap ~dirty_blocks] re-solves the
+(** [update ~old ~cfg numbering ~remap ~dirty_blocks] re-solves the
     analysis after a code edit that preserved the block structure (spill
     insertion widens blocks but adds no edge, label or branch). [cfg] must
     have the same blocks and edges as [old]'s; [remap] translates an id of
@@ -34,14 +33,13 @@ val compute :
     {!compute} reaches. *)
 val update :
   old:t ->
-  code:Ra_ir.Proc.node array ->
   cfg:Ra_ir.Cfg.t ->
   numbering ->
   remap:(int -> int) ->
   dirty_blocks:int list ->
   t
 
-(** [refresh ~old ~code ~cfg numbering ~dirty_blocks] re-solves the
+(** [refresh ~old ~cfg numbering ~dirty_blocks] re-solves the
     analysis after a change of numbering over the *same* universe and
     block structure (coalescing renames web ids to their merged-class
     representatives). [dirty_blocks] must include every block whose
@@ -53,7 +51,6 @@ val update :
     (merged classes kill more) and cannot seed a grow-only worklist. *)
 val refresh :
   old:t ->
-  code:Ra_ir.Proc.node array ->
   cfg:Ra_ir.Cfg.t ->
   numbering ->
   dirty_blocks:int list ->

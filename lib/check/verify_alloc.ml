@@ -193,7 +193,7 @@ let run ~regfile (proc : Proc.t) : Diagnostic.t list =
       let numbering =
         { Liveness.universe; defs_of = def_locs; uses_of = use_locs }
       in
-      let live = Liveness.compute ~code ~cfg numbering in
+      let live = Liveness.compute ~cfg numbering in
       for b = 0 to nb - 1 do
         Liveness.iter_block_backward live b ~f:(fun i ~live_after ->
           match (code.(i)).Proc.ins with
@@ -252,7 +252,7 @@ let check_assignment ~regfile (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
       uses_of =
         (fun i -> List.sort_uniq compare (List.map find (base.Liveness.uses_of i))) }
   in
-  let live = Liveness.compute ~code:proc.code ~cfg numbering in
+  let live = Liveness.compute ~cfg numbering in
   for b = 0 to Cfg.n_blocks cfg - 1 do
     Liveness.iter_block_backward live b ~f:(fun i ~live_after ->
       let ins = (proc.code.(i)).Proc.ins in

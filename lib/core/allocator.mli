@@ -24,7 +24,7 @@ type pass_record = Pipeline.pass_record = {
   spill_cost : float; (* their total estimated spill cost *)
   build_rounds : int; (* edge-scan rounds (1 + coalescing re-rounds) *)
   cache_hits : int; (* blocks replayed from the edge cache, all rounds *)
-  cache_misses : int; (* blocks rescanned (equals blocks x rounds uncached) *)
+  cache_misses : int; (* blocks rescanned, all rounds *)
   build_time : float; (* seconds *)
   coalesce_time : float; (* irc worklist drive; 0 for the other heuristics *)
   simplify_time : float;
@@ -77,11 +77,10 @@ exception Allocation_failure of string
     [context], when given, supplies the {!Context} whose buffers and
     incremental structures the passes run on — batch drivers pass one
     context across many procedures so the buffers stay warm. Without it
-    a private context is created (incrementality still governed by
-    [RA_INCREMENTAL]; the context inherits [verify], so an incremental
-    build that diverges from a from-scratch one also fails). Results
-    are identical either way, and identical with incrementality on or
-    off. *)
+    a private context is created; it inherits [verify], so an
+    incremental or cache-backed build that diverges from the uncached
+    from-scratch reference also fails. Results are identical either
+    way. *)
 val allocate :
   ?coalesce:bool ->
   ?max_passes:int ->

@@ -4,7 +4,7 @@ let default_pool () =
   if Ra_support.Pool.default_jobs () > 1 then Some (Ra_support.Pool.global ())
   else None
 
-let map_procs ?pool ?context ?edge_cache machine ~f (procs : Proc.t list) =
+let map_procs ?pool ?context machine ~f (procs : Proc.t list) =
   let pool = match pool with Some p -> p | None -> default_pool () in
   let several = match procs with _ :: _ :: _ -> true | [] | [ _ ] -> false in
   match context, pool with
@@ -29,16 +29,16 @@ let map_procs ?pool ?context ?edge_cache machine ~f (procs : Proc.t list) =
             { Ra_support.Footprint.reads = [];
               writes = [ Ra_support.Footprint.Telemetry ] } })
       (fun proc ->
-        f (Context.create ?edge_cache ~jobs:1 machine) proc)
+        f (Context.create ~jobs:1 machine) proc)
       procs
   | None, (Some _ | None) ->
     (* zero or one routine (or a width-1 pool): spend the pool on
        block-sharded graph construction inside one context instead *)
-    let ctx = Context.create ?edge_cache ?pool machine in
+    let ctx = Context.create ?pool machine in
     List.map (f ctx) procs
 
-let allocate_all ?pool ?context ?edge_cache ?verify machine heuristic procs =
-  map_procs ?pool ?context ?edge_cache machine procs ~f:(fun ctx proc ->
+let allocate_all ?pool ?context ?verify machine heuristic procs =
+  map_procs ?pool ?context machine procs ~f:(fun ctx proc ->
     Allocator.allocate ?verify ~context:ctx machine heuristic proc)
 
 let verify_default =
@@ -58,7 +58,7 @@ let result_of heuristic machine (o : Pipeline.outcome) : Allocator.result =
 
 let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
     ?(spill_base = Spill_costs.default_base) ?(rematerialize = true)
-    ?(verify = verify_default) ?edge_cache ?scheduler ?tele machine
+    ?(verify = verify_default) ?scheduler ?tele machine
     heuristics (procs : Proc.t list) : Allocator.result list list =
   let open Ra_support in
   let cfgn =
@@ -126,7 +126,7 @@ let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
       let i, group = tasks.(t) in
       let proc = procs.(i) in
       let first =
-        Pipeline.build_shared cfgn machine ~tele ?pool:bpool ?edge_cache
+        Pipeline.build_shared cfgn machine ~tele ?pool:bpool
           (snd (List.hd group)) proc
       in
       let group = Array.of_list group in
@@ -135,7 +135,7 @@ let allocate_matrix ?(coalesce = true) ?(max_passes = 32)
         (* contexts are single-threaded: one per cell, its later passes'
            builds sequential — the matrix owns the domains *)
         let context =
-          Context.create ?edge_cache ~verify ~jobs:1 ~tele machine
+          Context.create ~verify ~jobs:1 ~tele machine
         in
         cells.(j).(i) <-
           Some

@@ -18,12 +18,10 @@ val default_pool : unit -> Ra_support.Pool.t option
 
 (** [map_procs machine ~f procs] runs [f context proc] for every
     procedure under the policy above. [pool] defaults to
-    {!default_pool}; [edge_cache] is passed to created contexts
-    (ignored when [context] is given). *)
+    {!default_pool}. *)
 val map_procs :
   ?pool:Ra_support.Pool.t option ->
   ?context:Context.t ->
-  ?edge_cache:bool ->
   Machine.t ->
   f:(Context.t -> Ra_ir.Proc.t -> 'a) ->
   Ra_ir.Proc.t list ->
@@ -34,7 +32,6 @@ val map_procs :
 val allocate_all :
   ?pool:Ra_support.Pool.t option ->
   ?context:Context.t ->
-  ?edge_cache:bool ->
   ?verify:bool ->
   Machine.t ->
   Heuristic.t ->
@@ -65,7 +62,6 @@ val allocate_matrix :
   ?spill_base:float ->
   ?rematerialize:bool ->
   ?verify:bool ->
-  ?edge_cache:bool ->
   ?scheduler:Ra_support.Scheduler.t ->
   ?tele:Ra_support.Telemetry.t ->
   Machine.t ->

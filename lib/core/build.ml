@@ -42,77 +42,6 @@ let cls_of_web (webs : Webs.t) w = (Webs.web webs w).cls
 
 let enc_phys p = -1 - p
 
-(* ---- staging buffers for the parallel scan ----
-
-   Each worker owns a stage: a private dedup matrix per class plus a flat
-   pair array recording, in scan order, the first occurrence within the
-   worker's block range of every edge it discovers. Nothing shared is
-   written during the scan; the merge replays the stages in block order.
-   The cache-backed parallel path reuses the same stages, but only for
-   their dedup matrices and liveness scratch — rescanned edges then land
-   in the per-block cache entries instead of the chunk pair arrays. *)
-
-type stage = {
-  seen_int : Bit_matrix.t;
-  seen_flt : Bit_matrix.t;
-  mutable pairs_int : int array; (* flat (a, b) pairs, scan order *)
-  mutable n_int : int;
-  mutable pairs_flt : int array;
-  mutable n_flt : int;
-  stage_live : Bitset.t; (* per-worker liveness walk scratch *)
-}
-
-let fresh_stage () =
-  { seen_int = Bit_matrix.create 0;
-    seen_flt = Bit_matrix.create 0;
-    pairs_int = [||];
-    n_int = 0;
-    pairs_flt = [||];
-    n_flt = 0;
-    stage_live = Bitset.create 0 }
-
-type par_scratch = { mutable stages : stage array }
-
-let par_scratch () = { stages = [||] }
-
-let ensure_stages ps n =
-  if Array.length ps.stages < n then begin
-    let old = ps.stages in
-    ps.stages <-
-      Array.init n (fun j ->
-        if j < Array.length old then old.(j) else fresh_stage ())
-  end
-
-let stage_emit s cls a b =
-  if a <> b then
-    match cls with
-    | Reg.Int_reg ->
-      if not (Bit_matrix.mem s.seen_int a b) then begin
-        Bit_matrix.set s.seen_int a b;
-        let cap = Array.length s.pairs_int in
-        if (2 * s.n_int) + 2 > cap then begin
-          let grown = Array.make (max 64 (2 * cap)) 0 in
-          Array.blit s.pairs_int 0 grown 0 (2 * s.n_int);
-          s.pairs_int <- grown
-        end;
-        s.pairs_int.(2 * s.n_int) <- a;
-        s.pairs_int.((2 * s.n_int) + 1) <- b;
-        s.n_int <- s.n_int + 1
-      end
-    | Reg.Flt_reg ->
-      if not (Bit_matrix.mem s.seen_flt a b) then begin
-        Bit_matrix.set s.seen_flt a b;
-        let cap = Array.length s.pairs_flt in
-        if (2 * s.n_flt) + 2 > cap then begin
-          let grown = Array.make (max 64 (2 * cap)) 0 in
-          Array.blit s.pairs_flt 0 grown 0 (2 * s.n_flt);
-          s.pairs_flt <- grown
-        end;
-        s.pairs_flt.(2 * s.n_flt) <- a;
-        s.pairs_flt.((2 * s.n_flt) + 1) <- b;
-        s.n_flt <- s.n_flt + 1
-      end
-
 (* ---- the per-block edge cache ----
 
    For each CFG block, the cache records the encoded pair sequence the
@@ -165,7 +94,9 @@ module Edge_cache = struct
   type t = {
     mutable entries : entry array;
     mutable cached_blocks : int; (* entries in use: the proc's block count *)
-    seq_live : Bitset.t; (* sequential-scan liveness scratch *)
+    mutable lives : Bitset.t array;
+      (* rescan liveness scratch, one per pool worker; [lives.(0)] also
+         serves the sequential rescan *)
     (* per-build counters, reset at each Build.build *)
     mutable hits : int; (* blocks replayed without a rescan *)
     mutable misses : int; (* blocks rescanned *)
@@ -177,7 +108,7 @@ module Edge_cache = struct
     if !Race_log.on then Race_log.created uid;
     { entries = [||];
       cached_blocks = 0;
-      seq_live = Bitset.create 0;
+      lives = [| Bitset.create 0 |];
       hits = 0;
       misses = 0;
       uid }
@@ -193,6 +124,14 @@ module Edge_cache = struct
   let log_block_read t b =
     if !Race_log.on then
       Race_log.read (Footprint.K_edge_cache_block (t.uid, b))
+
+  let ensure_lives t n =
+    if Array.length t.lives < n then begin
+      let old = t.lives in
+      t.lives <-
+        Array.init n (fun j ->
+          if j < Array.length old then old.(j) else Bitset.create 0)
+    end
 
   let hits t = t.hits
   let misses t = t.misses
@@ -362,36 +301,25 @@ let chunk_weights ~weights ~n_chunks =
   done;
   starts
 
-(* Cut the blocks into at most [n_chunks] contiguous ranges of roughly
-   equal instruction count, clamping to the block count. *)
-let chunk_starts (cfg : Cfg.t) ~n_chunks =
-  let weights =
-    Array.map (fun (blk : Cfg.block) -> blk.last - blk.first + 1) cfg.blocks
-  in
-  chunk_weights ~weights ~n_chunks
-
 (* Build the two class graphs for the current aliasing. [rep] is a
    snapshot of the alias representatives ([rep.(w) = Union_find.find w]),
    precomputed so the scan never touches the path-compressing union-find;
    [numbering] maps instructions to representatives through it; [live] is
    the liveness solution under that numbering.
 
-   With a pool of width > 1 the per-block scan is sharded: each worker
-   stages its chunk's edges privately (first occurrence per chunk, in
-   scan order) and the merge replays the stages chunk by chunk through
-   [Igraph.add_edge]. The pair sequence surviving add_edge's global dedup
-   is then exactly the sequence of global first occurrences in block/scan
-   order — the same events, in the same order, with the same argument
-   order, as the sequential scan — so adjacency insertion order (which
-   coloring is sensitive to) is bit-identical to the sequential build.
+   Without [cache] this is the reference scan: one sequential walk over
+   every block in block order, each interference handed straight to
+   [Igraph.add_edge]. It is what every cache-backed build is defined by,
+   and what [verify] compares them against.
 
    With [cache] the scan is incremental: only blocks without a valid
    cache entry for this round (spill-dirtied blocks at round 0, blocks
    holding a site of a web whose representative just moved at rounds
-   >= 1) are rescanned — sequentially or sharded across the pool — into
-   their per-block entries; every block is then replayed in block order
-   through [add_edge], stored web ids remapped through the current [rep]
-   snapshot. Exactness for clean blocks: a coalescing merge only renames
+   >= 1) are rescanned into their per-block entries — sequentially, or
+   sharded across [pool] when it is wider than 1, each worker writing
+   only its own blocks' entries; every block is then replayed in block
+   order through [add_edge], stored web ids remapped through the current
+   [rep] snapshot. Exactness for clean blocks: a coalescing merge only renames
    entries in their live sets (merging webs that interfere is impossible,
    and the move-source exclusion cases land in dirty blocks), and a
    spill edit only renames or retires them — so the remapped image of a
@@ -400,8 +328,8 @@ let chunk_starts (cfg : Cfg.t) ~n_chunks =
    insertion order, match the from-scratch scan exactly; [RA_VERIFY]
    cross-checks this every round. *)
 let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
-    ~(rep : int array) ~numbering ~(live : Liveness.t) ~scratch ~pool ~par
-    ~cache ~tele =
+    ~(rep : int array) ~numbering ~(live : Liveness.t) ~scratch ~pool ~cache
+    ~tele =
   let n_webs = Webs.n_webs webs in
   (* dense node numbering per class, representatives only *)
   let node_of_web = Array.make (max n_webs 1) (-1) in
@@ -438,9 +366,6 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
     | Reg.Int_reg -> int_graph
     | Reg.Flt_reg -> flt_graph
   in
-  (* node id of an encoded endpoint *at scan time* (web endpoints are
-     representatives of the aliasing being scanned) *)
-  let node_of_enc x = if x >= 0 then node_of_web.(x) else -1 - x in
   (* Scan blocks [lo, hi] backward against [live], handing every
      interference to [emit cls a b] — encoded endpoints — in
      deterministic scan order. Read-only on all shared state:
@@ -567,15 +492,14 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
         in
         let starts = chunk_weights ~weights ~n_chunks:(Pool.jobs p) in
         let n_chunks = Array.length starts - 1 in
-        let ps = match par with Some q -> q | None -> par_scratch () in
-        ensure_stages ps n_chunks;
+        ensure_lives ec n_chunks;
         let meta j =
           { Pool.tm_name =
               Printf.sprintf "scan:%s:chunk%d" proc.name j;
             tm_footprint =
               { Footprint.reads = [ Footprint.Liveness (Liveness.uid live) ];
                 writes =
-                  [ Footprint.Bitset (Bitset.uid ps.stages.(j).stage_live);
+                  [ Footprint.Bitset (Bitset.uid ec.lives.(j));
                     Footprint.Edge_cache_blocks
                       { id = ec.uid;
                         lo = blocks.(starts.(j));
@@ -591,12 +515,11 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
                 "chunk", string_of_int j;
                 "blocks", string_of_int (starts.(j + 1) - starts.(j)) ])
             (fun () ->
-              let s = ps.stages.(j) in
               for idx = starts.(j) to starts.(j + 1) - 1 do
                 let b = blocks.(idx) in
                 log_block_write ec b;
                 let layer = fresh_layer_of b in
-                scan_blocks ~live_scratch:(Some s.stage_live)
+                scan_blocks ~live_scratch:(Some ec.lives.(j))
                   ~emit:(fun cls a b -> push layer cls a b)
                   b b;
                 mark_valid b
@@ -620,7 +543,7 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
               (fun b ->
                 log_block_write ec b;
                 let layer = fresh_layer_of b in
-                scan_blocks ~live_scratch:(Some ec.seq_live)
+                scan_blocks ~live_scratch:(Some ec.lives.(0))
                   ~emit:(fun cls a b -> push layer cls a b)
                   b b;
                 mark_valid b)
@@ -629,77 +552,16 @@ let build_graphs machine (proc : Proc.t) (cfg : Cfg.t) (webs : Webs.t)
           replay_block b
         done)
    | None ->
-     let n_chunks =
-       match pool with
-       | Some p when Pool.jobs p > 1 -> min (Pool.jobs p) n_blocks
-       | Some _ | None -> 1
-     in
-     if n_chunks <= 1 then
-       Telemetry.span tele Phase.Scan
-         ~args:(fun () ->
-           [ "proc", proc.name; "blocks", string_of_int n_blocks ])
-         (fun () ->
-           scan_blocks
-             ~emit:(fun cls a b ->
-               Igraph.add_edge (graph_of cls) (node_of_enc a) (node_of_enc b))
-             ~live_scratch:None 0 (n_blocks - 1))
-     else begin
-       let pool = Option.get pool in
-       let ps = match par with Some p -> p | None -> par_scratch () in
-       ensure_stages ps n_chunks;
-       let starts = chunk_starts cfg ~n_chunks in
-       let n_chunks = Array.length starts - 1 in
-       let nn_int = Igraph.n_nodes int_graph in
-       let nn_flt = Igraph.n_nodes flt_graph in
-       let meta j =
-         let s = ps.stages.(j) in
-         { Pool.tm_name =
-             Printf.sprintf "scan:%s:chunk%d" proc.name j;
-           tm_footprint =
-             { Footprint.reads = [ Footprint.Liveness (Liveness.uid live) ];
-               writes =
-                 (* full row ranges: resize reports row -1 (the whole
-                    matrix), which only a full-range claim covers *)
-                 [ Footprint.Bitset (Bitset.uid s.stage_live);
-                   Footprint.Bit_matrix_rows
-                     { id = Bit_matrix.uid s.seen_int; lo = 0; hi = max_int };
-                   Footprint.Bit_matrix_rows
-                     { id = Bit_matrix.uid s.seen_flt; lo = 0; hi = max_int };
-                   Footprint.Telemetry ] } }
-       in
-       Pool.run pool ~meta ~n:n_chunks (fun j ->
-         (* span emitted from the worker: carries the worker domain's id,
-            so the trace shows the sharded scan as per-domain tracks *)
-         Telemetry.span tele Phase.Scan
-           ~args:(fun () ->
-             [ "proc", proc.name;
-               "chunk", string_of_int j;
-               "blocks", string_of_int (starts.(j + 1) - starts.(j)) ])
-           (fun () ->
-             let s = ps.stages.(j) in
-             Bit_matrix.resize s.seen_int nn_int;
-             Bit_matrix.resize s.seen_flt nn_flt;
-             s.n_int <- 0;
-             s.n_flt <- 0;
-             scan_blocks
-               ~emit:(fun cls a b ->
-                 stage_emit s cls (node_of_enc a) (node_of_enc b))
-               ~live_scratch:(Some s.stage_live)
-               starts.(j)
-               (starts.(j + 1) - 1)));
-       (* deterministic merge, chunk by chunk in block order *)
-       for j = 0 to n_chunks - 1 do
-         let s = ps.stages.(j) in
-         for p = 0 to s.n_int - 1 do
-           Igraph.add_edge int_graph s.pairs_int.(2 * p)
-             s.pairs_int.((2 * p) + 1)
-         done;
-         for p = 0 to s.n_flt - 1 do
-           Igraph.add_edge flt_graph s.pairs_flt.(2 * p)
-             s.pairs_flt.((2 * p) + 1)
-         done
-       done
-     end);
+     (* the reference scan: emit straight into the graphs *)
+     let node_of_enc x = if x >= 0 then node_of_web.(x) else -1 - x in
+     Telemetry.span tele Phase.Scan
+       ~args:(fun () ->
+         [ "proc", proc.name; "blocks", string_of_int n_blocks ])
+       (fun () ->
+         scan_blocks
+           ~emit:(fun cls a b ->
+             Igraph.add_edge (graph_of cls) (node_of_enc a) (node_of_enc b))
+           ~live_scratch:None 0 (n_blocks - 1)));
   (* webs live into the entry block are defined simultaneously at entry *)
   let entry_in = Liveness.block_live_in live 0 in
   Bitset.iter
@@ -792,14 +654,12 @@ let find_coalescable machine (proc : Proc.t) (webs : Webs.t) alias
     proc.code;
   !merged
 
-let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
-    ?live0 ?scratch ?pool ?par ?touched ?cache ?(verify = false)
+let build machine (proc : Proc.t) cfg ~webs ?coalesce_mode:(mode = Aggressive)
+    ?live0 ?scratch ?pool ?touched ?cache ?(verify = false)
     ?(tele = Telemetry.null) () : t =
-  let mode =
-    match coalesce_mode with
-    | Some m -> m
-    | None -> if coalesce then Aggressive else Off
-  in
+  (match pool, cache with
+   | Some _, None -> invalid_arg "Build.build: a pool needs a cache"
+   | (Some _ | None), _ -> ());
   let n_webs = Webs.n_webs webs in
   let alias = Union_find.create (max n_webs 1) in
   let base = Webs.numbering webs in
@@ -817,7 +677,7 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
     | Some l -> l
     | None ->
       Telemetry.span tele Phase.Liveness (fun () ->
-        Liveness.compute ~code:proc.code ~cfg base)
+        Liveness.compute ~cfg base)
   in
   let touched =
     match touched with Some b -> b | None -> Bitset.create 0
@@ -911,22 +771,10 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
           proc.name b
     done
   in
-  let check_same_graph name (gp : Igraph.t) (gs : Igraph.t) =
-    if Igraph.n_nodes gp <> Igraph.n_nodes gs then
-      div "%s: %d nodes against %d in the reference scan" name
-        (Igraph.n_nodes gp) (Igraph.n_nodes gs);
-    if Igraph.n_edges gp <> Igraph.n_edges gs then
-      div "%s: %d edges against %d in the reference scan" name
-        (Igraph.n_edges gp) (Igraph.n_edges gs);
-    for n = 0 to Igraph.n_nodes gp - 1 do
-      (* adjacency must match as *lists*: coloring is sensitive to
-         neighbor insertion order, not just the edge set *)
-      if Igraph.neighbors gp n <> Igraph.neighbors gs n then
-        div "%s: adjacency of node %d diverges" name n
-    done
-  in
-  let parallel =
-    match pool with Some p -> Pool.jobs p > 1 | None -> false
+  let check_same_graph name gc gs =
+    Option.iter
+      (div "%s: %s in the reference scan" name)
+      (Igraph.diff gc gs)
   in
   let rec fixpoint total ~first ~rounds ~prev_rep ~prev_live =
     let rep = Array.init (max n_webs 1) (Union_find.find alias) in
@@ -937,13 +785,13 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
         let dirty = dirty_blocks ~prev_rep ~rep in
         let refreshed =
           Telemetry.span tele Phase.Liveness (fun () ->
-            Liveness.refresh ~old:prev_live ~code:proc.code ~cfg numbering
+            Liveness.refresh ~old:prev_live ~cfg numbering
               ~dirty_blocks:dirty)
         in
         if verify then
           Telemetry.span tele Phase.Verify (fun () ->
             check_same_live ~refreshed
-              ~reference:(Liveness.compute ~code:proc.code ~cfg numbering));
+              ~reference:(Liveness.compute ~cfg numbering));
         let cache_dirty =
           match cache with
           | None -> []
@@ -960,17 +808,18 @@ let build machine (proc : Proc.t) cfg ~webs ?(coalesce = true) ?coalesce_mode
     in
     let ig, fg, now, wni, wnf =
       build_graphs machine proc cfg webs ~rep ~numbering ~live ~scratch ~pool
-        ~par ~cache:round_cache ~tele
+        ~cache:round_cache ~tele
     in
-    if verify && (parallel || cache <> None) then
+    if verify && cache <> None then
       Telemetry.span tele Phase.Verify (fun () ->
         (* reference scan into fresh graphs, sequentially and uncached;
-           the parallel/cache-backed result must be indistinguishable
-           from it, down to adjacency order. The reference scan reports
-           nowhere — its spans would pollute the Scan totals. *)
+           the cache-backed result (pooled or not) must be
+           indistinguishable from it, down to adjacency order. The
+           reference scan reports nowhere — its spans would pollute the
+           Scan totals. *)
         let ig_s, fg_s, _, _, _ =
           build_graphs machine proc cfg webs ~rep ~numbering ~live
-            ~scratch:None ~pool:None ~par:None ~cache:None
+            ~scratch:None ~pool:None ~cache:None
             ~tele:Telemetry.null
         in
         check_same_graph (proc.name ^ ": int graph") ig ig_s;

@@ -20,23 +20,21 @@ open Ra_analysis
     temporaries are left alone so spill code stays intact.
 
     The per-block edge scan — the dominant cost of every allocation
-    pass — can run on a {!Ra_support.Pool}: blocks are sharded into
-    contiguous chunks, each worker stages its chunk's edges in a private
-    deduplicated buffer, and a deterministic merge replays the stages in
-    block order, reproducing the sequential graph bit for bit (adjacency
-    insertion order included, which coloring outcomes depend on).
+    pass — runs against an {!Edge_cache}: only blocks invalidated since
+    the previous round — spill-dirtied blocks at a pass's first round,
+    blocks holding a site of a re-aliased web at later coalescing rounds
+    — are rescanned, sharded across a {!Ra_support.Pool} when one is
+    given; every other block replays its cached pair sequence remapped
+    through the current aliasing. The replayed event stream is identical
+    to a from-scratch scan's, so the resulting graphs (adjacency
+    insertion order included, which coloring outcomes depend on) are
+    bit-identical to the sequential uncached scan. That scan — a build
+    without a cache — is kept as the reference [verify] compares
+    against. *)
 
-    The scan can also run *incrementally* against an {!Edge_cache}: only
-    blocks invalidated since the previous round — spill-dirtied blocks at
-    a pass's first round, blocks holding a site of a re-aliased web at
-    later coalescing rounds — are rescanned; every other block replays
-    its cached pair sequence remapped through the current aliasing. The
-    replayed event stream is identical to a from-scratch scan's, so the
-    resulting graphs (adjacency order included) are bit-identical. *)
-
-(** Raised when a [verify] cross-check finds the parallel or cache-backed
-    graph, or the refreshed liveness, differing from a sequential
-    uncached recomputation. *)
+(** Raised when a [verify] cross-check finds the cache-backed graph, or
+    the refreshed liveness, differing from a sequential uncached
+    recomputation. *)
 exception Divergence of string
 
 type t = {
@@ -65,25 +63,18 @@ type t = {
 
 (** How {!build} treats copies.
     - [Aggressive]: Chaitin's scheme — merge any non-interfering copy and
-      rebuild until fixpoint (the seed behavior; [~coalesce:true]).
+      rebuild until fixpoint (the seed behavior).
     - [Conservative]: the same rebuild-between-rounds fixpoint, but every
       merge is additionally gated on a Briggs safety test (< k significant
       neighbors in the union adjacency) against that round's freshly
       rebuilt graph — merges that cannot create spills. The move pairs
       left unmerged at fixpoint are staged into [moves_int]/[moves_flt]
       for the IRC heuristic to coalesce conservatively *during* Simplify.
-    - [Off]: merge nothing, stage nothing ([~coalesce:false]). *)
+    - [Off]: merge nothing, stage nothing. *)
 type coalesce_mode =
   | Aggressive
   | Conservative
   | Off
-
-(** Reusable staging buffers for the parallel scan (one per pool worker,
-    grown on demand). Owned by the allocation context so they survive
-    fixpoint rounds, passes and procedures. *)
-type par_scratch
-
-val par_scratch : unit -> par_scratch
 
 (** Per-block cache of the edge scan's staged pair sequences, owned by
     the allocation context (one per context, reused across rounds, passes
@@ -148,17 +139,16 @@ end
     and a footprint violation, under any schedule. *)
 val seeded_cache_race : bool ref
 
-(** Cut the CFG's blocks into at most [n_chunks] contiguous ranges of
-    roughly equal instruction count. [starts.(c)] is chunk [c]'s first
-    block; every chunk is non-empty, and [n_chunks] is clamped to the
-    block count, so the result has [min n_chunks n_blocks + 1] entries.
-    Exposed for the parallel path's tests. *)
-val chunk_starts : Ra_ir.Cfg.t -> n_chunks:int -> int array
+(** Cut [n_items] weighted items into at most [n_chunks] contiguous
+    ranges of roughly equal total weight; the parallel rescan chunks its
+    dirty blocks by instruction count this way. [starts.(c)] is chunk
+    [c]'s first item; [n_chunks] is clamped to the item count and to at
+    least 1, so with [n_items >= 1] every chunk is non-empty and the
+    result has [min n_chunks n_items + 1] entries. Exposed for tests. *)
+val chunk_weights : weights:int array -> n_chunks:int -> int array
 
-(** [coalesce_mode], when given, overrides the boolean [coalesce] knob
-    ([~coalesce:true] means [Aggressive], [false] means [Off]); it is how
-    the IRC pipeline requests [Conservative] staging without disturbing
-    the legacy callers. Both paths emit [coalesce.rounds] and
+(** [coalesce_mode] (default [Aggressive]) says how copies are treated.
+    Both coalescing modes emit [coalesce.rounds] and
     [coalesce.moves_remaining] counters on [tele] (the distinct
     uncoalesced move pairs left at exit), so aggressive and conservative
     coalescing are comparable in traces.
@@ -170,15 +160,18 @@ val chunk_starts : Ra_ir.Cfg.t -> n_chunks:int -> int array
     given, is a pair of graph buffers (int class, flt class) that every
     iteration {!Igraph.reset}s and builds into: the returned [t] then
     aliases those buffers, which stay valid until the next build that
-    reuses them. [pool] parallelizes the per-block edge scan ([par]
-    supplies the staging buffers; [touched] the coalescing scan's
-    scratch set). [cache] makes the scan incremental (see
-    {!Edge_cache}); with a pool, workers rescan only the dirty blocks of
-    their chunk. [verify] cross-checks, every fixpoint round, the
-    parallel/cached graphs against a sequential uncached rebuild and the
-    refreshed liveness against a full solve, raising {!Divergence} on
-    any difference. Results are bit-identical with and without a pool,
-    and with and without a cache.
+    reuses them.
+
+    [cache] makes the scan incremental (see {!Edge_cache}); [pool] then
+    shards each round's rescan of dirty blocks across its workers (the
+    cache holds their liveness scratch). Without [cache] the build is the
+    sequential reference scan over every block, and passing a [pool]
+    raises [Invalid_argument]. [touched] is the coalescing scan's
+    scratch set. [verify] cross-checks every fixpoint round of a
+    cache-backed build against the reference scan, and every refreshed
+    liveness against a full solve, raising {!Divergence} on any
+    difference. Results are bit-identical with and without a cache, and
+    at any pool width.
 
     [tele] (default {!Ra_support.Telemetry.null}) receives the build's
     internal spans: {!Ra_support.Phase.Scan} around every edge scan —
@@ -191,12 +184,10 @@ val build :
   Ra_ir.Proc.t ->
   Ra_ir.Cfg.t ->
   webs:Webs.t ->
-  ?coalesce:bool ->
   ?coalesce_mode:coalesce_mode ->
   ?live0:Liveness.t ->
   ?scratch:Igraph.t * Igraph.t ->
   ?pool:Ra_support.Pool.t ->
-  ?par:par_scratch ->
   ?touched:Ra_support.Bitset.t ->
   ?cache:Edge_cache.t ->
   ?verify:bool ->

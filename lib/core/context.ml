@@ -17,38 +17,25 @@ type prev = {
 
 type t = {
   machine : Machine.t;
-  incremental : bool;
   verify : bool;
   tele : Telemetry.t;
   pool : Pool.t option;
   acache : Analysis_cache.t;
-  par : Build.par_scratch;
   touched : Bitset.t;
   scratch_int : Igraph.t;
   scratch_flt : Igraph.t;
   buckets : Degree_buckets.t;
-  edge_cache : Build.Edge_cache.t option;
+  edge_cache : Build.Edge_cache.t;
   stats : stats;
   mutable prev : prev option;
 }
-
-let incremental_default =
-  match Sys.getenv_opt "RA_INCREMENTAL" with
-  | Some "0" -> false
-  | None | Some _ -> true
 
 let verify_default =
   match Sys.getenv_opt "RA_VERIFY" with
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
-let edge_cache_default =
-  match Sys.getenv_opt "RA_EDGE_CACHE" with
-  | Some "0" -> false
-  | None | Some _ -> true
-
-let create ?(incremental = incremental_default) ?(verify = verify_default)
-    ?(edge_cache = edge_cache_default) ?tele ?jobs ?pool machine =
+let create ?(verify = verify_default) ?tele ?jobs ?pool machine =
   (* every context installs the dispatch-time footprint validator, so
      any meta-carrying batch submitted through allocation is statically
      checked for write-set disjointness (idempotent, one ref store) *)
@@ -73,60 +60,42 @@ let create ?(incremental = incremental_default) ?(verify = verify_default)
    | Some p when Telemetry.enabled tele -> Pool.set_telemetry p tele
    | Some _ | None -> ());
   { machine;
-    incremental;
     verify;
     tele;
     pool;
     acache = Analysis_cache.create ();
-    par = Build.par_scratch ();
     touched = Bitset.create 0;
     scratch_int = Igraph.create ~n_nodes:0 ~n_precolored:0;
     scratch_flt = Igraph.create ~n_nodes:0 ~n_precolored:0;
     buckets = Degree_buckets.create ~max_degree:1;
-    edge_cache = (if edge_cache then Some (Build.Edge_cache.create ()) else None);
+    edge_cache = Build.Edge_cache.create ();
     stats = { incremental_builds = 0; scratch_builds = 0; verified_builds = 0 };
     prev = None }
 
 let machine t = t.machine
 let telemetry t = t.tele
-let incremental_enabled t = t.incremental
 let pool t = t.pool
 let analysis_cache t = t.acache
 let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
 let buckets t = t.buckets
 let stats t = t.stats
-let edge_cache_enabled t = t.edge_cache <> None
 
 let begin_proc t =
   t.prev <- None;
-  Option.iter Build.Edge_cache.clear t.edge_cache
+  Build.Edge_cache.clear t.edge_cache
 
 (* The shared first pass's seam: an allocation whose first pass was
    served by a shared build (one Build for several heuristics) plants
    that build as this context's previous pass, so the next spill pass patches
    it exactly as if the context had built it itself. *)
-let adopt_prev t ~cfg ~built =
-  if t.incremental then t.prev <- Some { p_cfg = cfg; p_built = built }
+let adopt_prev t ~cfg ~built = t.prev <- Some { p_cfg = cfg; p_built = built }
 
 let div fmt = Format.kasprintf (fun m -> raise (Divergence m)) fmt
 
 (* ---- the incremental == from-scratch cross-check (RA_VERIFY) ---- *)
 
-let check_graph name (gi : Igraph.t) (gs : Igraph.t) =
-  if Igraph.n_nodes gi <> Igraph.n_nodes gs then
-    div "%s: %d nodes incrementally vs %d from scratch" name
-      (Igraph.n_nodes gi) (Igraph.n_nodes gs);
-  if Igraph.n_precolored gi <> Igraph.n_precolored gs then
-    div "%s: precolored count differs" name;
-  if Igraph.n_edges gi <> Igraph.n_edges gs then
-    div "%s: %d edges incrementally vs %d from scratch" name
-      (Igraph.n_edges gi) (Igraph.n_edges gs);
-  for n = 0 to Igraph.n_nodes gi - 1 do
-    (* adjacency must match as *lists*: simplify's worklist seeding is
-       sensitive to neighbor insertion order, not just the edge set *)
-    if Igraph.neighbors gi n <> Igraph.neighbors gs n then
-      div "%s: adjacency of node %d differs" name n
-  done
+let check_graph name gi gs =
+  Option.iter (div "%s: %s from scratch" name) (Igraph.diff gi gs)
 
 let check_equal proc_name ~(cfg_i : Cfg.t) ~(built_i : Build.t)
     ~(cfg_s : Cfg.t) ~(built_s : Build.t) =
@@ -186,9 +155,9 @@ let scratch_build ?(reference = false) t (proc : Proc.t) ~is_spill_vreg
          nothing about (no remap ran), so whatever it holds is stale:
          drop it. Round 0 rescans everything; the cache still pays off
          within the pass, on the coalescing rounds. *)
-      Option.iter Build.Edge_cache.clear t.edge_cache;
+      Build.Edge_cache.clear t.edge_cache;
       Build.build t.machine proc cfg ~webs ~coalesce_mode:mode ?scratch
-        ?pool:t.pool ~par:t.par ~touched:t.touched ?cache:t.edge_cache
+        ?pool:t.pool ~touched:t.touched ~cache:t.edge_cache
         ~verify:t.verify ~tele:t.tele ()
     end
   in
@@ -213,7 +182,7 @@ let incremental_build t (proc : Proc.t) prev (sp : Spill.result) ~mode =
   in
   let live0 =
     Telemetry.span t.tele Phase.Liveness (fun () ->
-      Liveness.update ~old:prev.p_built.Build.base_live ~code:proc.code ~cfg
+      Liveness.update ~old:prev.p_built.Build.base_live ~cfg
         (Webs.numbering webs)
         ~remap:(fun w -> old_to_new.(w))
         ~dirty_blocks)
@@ -221,20 +190,18 @@ let incremental_build t (proc : Proc.t) prev (sp : Spill.result) ~mode =
   (* The edge cache survives the pass boundary the same way liveness
      does: rename surviving web ids through the canonical renumbering
      and invalidate exactly the blocks that received spill code. *)
-  Option.iter
-    (fun ec -> Build.Edge_cache.remap ec ~old_to_new ~dirty_blocks)
-    t.edge_cache;
+  Build.Edge_cache.remap t.edge_cache ~old_to_new ~dirty_blocks;
   let built =
     Build.build t.machine proc cfg ~webs ~coalesce_mode:mode ~live0
-      ~scratch:(t.scratch_int, t.scratch_flt) ?pool:t.pool ~par:t.par
-      ~touched:t.touched ?cache:t.edge_cache ~verify:t.verify ~tele:t.tele ()
+      ~scratch:(t.scratch_int, t.scratch_flt) ?pool:t.pool
+      ~touched:t.touched ~cache:t.edge_cache ~verify:t.verify ~tele:t.tele ()
   in
   cfg, webs, built
 
 let build_pass t (proc : Proc.t) ~is_spill_vreg ~mode ~edit =
   let cfg, webs, built =
     match edit, t.prev with
-    | Some sp, Some prev when t.incremental ->
+    | Some sp, Some prev ->
       let ((cfg_i, _, built_i) as res) =
         incremental_build t proc prev sp ~mode
       in
@@ -259,5 +226,5 @@ let build_pass t (proc : Proc.t) ~is_spill_vreg ~mode ~edit =
       t.stats.scratch_builds <- t.stats.scratch_builds + 1;
       res
   in
-  if t.incremental then t.prev <- Some { p_cfg = cfg; p_built = built };
+  t.prev <- Some { p_cfg = cfg; p_built = built };
   cfg, webs, built

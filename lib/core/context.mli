@@ -22,18 +22,21 @@
     engineered to reproduce the from-scratch structures bit for bit
     (canonical web numbering, replayed graph construction into reset
     buffers). Under [RA_VERIFY=1] every incremental build is cross-checked
-    against a fresh one and any difference raises {!Divergence}.
+    against a reference build — from scratch, sequential and uncached,
+    into fresh buffers — and any difference raises {!Divergence}.
 
     The context also owns the {!Build.Edge_cache}: per-block staged edge
     pairs that let every build after a procedure's first round rescan
     only dirty blocks (coalescing rounds reuse clean blocks within a
     pass; spill passes carry the cache across via the same canonical
-    renumbering and dirty-block report the liveness update uses).
+    renumbering and dirty-block report the liveness update uses). Under
+    [RA_VERIFY=1] every cached round is checked against the uncached
+    reference scan as well (see {!Build.build}).
 
-    [RA_INCREMENTAL=0] disables the incremental path entirely — every
-    pass then rebuilds from scratch (still into the reused buffers);
-    [RA_EDGE_CACHE=0] disables the edge cache alone, forcing a full
-    block scan every round. *)
+    This is the allocator's one Build configuration: each procedure's
+    first pass is built from scratch, every later pass incrementally,
+    always through the edge cache. The uncached from-scratch build
+    survives only as the verify reference. *)
 
 exception Divergence of string
 
@@ -45,18 +48,16 @@ type stats = {
 
 type t
 
-(** [create machine] makes an empty context. [incremental] defaults to
-    the [RA_INCREMENTAL] environment variable (unset or any value but
-    ["0"] means enabled); [verify] to [RA_VERIFY] (enabled when set
-    non-empty and not ["0"]); [edge_cache] to [RA_EDGE_CACHE] (unset or
-    any value but ["0"] means enabled).
+(** [create machine] makes an empty context. [verify] defaults to the
+    [RA_VERIFY] environment variable (enabled when set non-empty and not
+    ["0"]).
 
     [tele] is the telemetry sink every pass built over this context
     reports into; it defaults to the process-wide
     {!Ra_support.Telemetry.ambient} sink (so [RA_TRACE] / [--trace]
     work without threading anything).
 
-    [pool], when given, parallelizes the interference-graph block scan
+    [pool], when given, parallelizes the interference-graph block rescans
     (see {!Build.build}); a width-1 pool means sequential. Without it,
     [jobs] decides: [1] forces sequential, [> 1] uses the shared
     {!Ra_support.Pool.global} pool. The default is [Pool.default_jobs ()]
@@ -65,9 +66,7 @@ type t
     allocation results are engineered to be bit-identical to a
     sequential build (cross-checked under [RA_VERIFY]). *)
 val create :
-  ?incremental:bool ->
   ?verify:bool ->
-  ?edge_cache:bool ->
   ?tele:Ra_support.Telemetry.t ->
   ?jobs:int ->
   ?pool:Ra_support.Pool.t ->
@@ -78,9 +77,6 @@ val machine : t -> Machine.t
 
 (** The sink this context's builds report into ({!create}'s [tele]). *)
 val telemetry : t -> Ra_support.Telemetry.t
-
-val incremental_enabled : t -> bool
-val edge_cache_enabled : t -> bool
 
 (** The pool builds run on, if any. *)
 val pool : t -> Ra_support.Pool.t option
@@ -103,17 +99,16 @@ val begin_proc : t -> unit
 (** [adopt_prev t ~cfg ~built] records an externally built first pass
     (a {!Pipeline.build_shared} build, served to several heuristics) as
     this context's previous pass, so the next {!build_pass} with an
-    [edit] patches it incrementally instead of rebuilding from scratch.
-    A no-op when incrementality is off. *)
+    [edit] patches it incrementally instead of rebuilding from scratch. *)
 val adopt_prev : t -> cfg:Ra_ir.Cfg.t -> built:Build.t -> unit
 
 (** [build_pass t proc ~is_spill_vreg ~mode ~edit] produces the CFG,
     webs and interference graphs for the current pass, coalescing (or
     staging move worklists) per [mode] — see {!Build.coalesce_mode}.
     [edit] is the {!Spill.result} of the previous pass's spill insertion
-    ([None] on the first pass). With a previous pass on record and
-    incrementality enabled, the structures are derived from it;
-    otherwise they are built from scratch into the context's buffers.
+    ([None] on the first pass). With a previous pass on record the
+    structures are derived from it; otherwise they are built from
+    scratch into the context's buffers.
     Raises {!Divergence} if verification is on and an incremental build
     differs from a fresh one. *)
 val build_pass :

@@ -107,6 +107,27 @@ let iter_neighbors t n ~f =
 
 let n_edges t = t.edges
 
+let diff a b =
+  if n_nodes a <> n_nodes b then
+    Some (Printf.sprintf "%d nodes against %d" (n_nodes a) (n_nodes b))
+  else if a.n_precolored <> b.n_precolored then
+    Some
+      (Printf.sprintf "%d precolored nodes against %d" a.n_precolored
+         b.n_precolored)
+  else if a.edges <> b.edges then
+    Some (Printf.sprintf "%d edges against %d" a.edges b.edges)
+  else begin
+    (* the stored lists are both reversed, so comparing them compares
+       insertion order without materializing [neighbors] *)
+    let rec first n =
+      if n >= n_nodes a then None
+      else if a.adjacency.(n) <> b.adjacency.(n) then
+        Some (Printf.sprintf "adjacency of node %d differs" n)
+      else first (n + 1)
+    in
+    first 0
+  end
+
 let uid t = t.uid
 
 let check_coloring t ~colors =

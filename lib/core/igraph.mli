@@ -41,6 +41,13 @@ val iter_neighbors : t -> int -> f:(int -> unit) -> unit
 (** Number of distinct edges. *)
 val n_edges : t -> int
 
+(** [diff a b] is [None] when [a] and [b] are the same graph: equal node,
+    precolored and edge counts, and every node's neighbors in the same
+    insertion order (coloring is sensitive to that order, not just to
+    the edge set). Otherwise it describes the first difference found, in
+    that order of checks, [a]'s figure first. *)
+val diff : t -> t -> string option
+
 (** The graph's race-check identity: accesses are reported as
     [Footprint.K_igraph_row (uid, row)] keys — one key per node covering
     its matrix row, adjacency vector and degree counter together. A task

@@ -441,7 +441,7 @@ type shared_build = {
        long", even though the build ran once *)
 }
 
-let build_shared cfgn machine ~tele ?pool ?(edge_cache = true) heuristic
+let build_shared cfgn machine ~tele ?pool heuristic
     (proc : Proc.t) =
   (* input lint once: byte-identical input for every consumer, so one
      verdict serves them all *)
@@ -454,14 +454,14 @@ let build_shared cfgn machine ~tele ?pool ?(edge_cache = true) heuristic
           (Ra_check.Lint.run proc));
   let mode = coalesce_mode_of cfgn heuristic in
   (* a private cache: it serves this build's coalescing rounds only *)
-  let cache = if edge_cache then Some (Build.Edge_cache.create ()) else None in
+  let cache = Build.Edge_cache.create () in
   let timer = Timer.create () in
   let cfg, webs, built =
     Telemetry.span tele ~timer Phase.Build (fun () ->
       let cfg = Cfg.build proc.Proc.code in
       let webs = Webs.build proc cfg ~is_spill_vreg:(fun _ -> false) in
       let built =
-        Build.build machine proc cfg ~webs ~coalesce_mode:mode ?pool ?cache
+        Build.build machine proc cfg ~webs ~coalesce_mode:mode ?pool ~cache
           ~verify:cfgn.verify ~tele ()
       in
       cfg, webs, built)

@@ -33,7 +33,7 @@ type pass_record = {
   spill_cost : float; (* their total estimated spill cost *)
   build_rounds : int; (* edge-scan rounds (1 + coalescing re-rounds) *)
   cache_hits : int; (* blocks replayed from the edge cache, all rounds *)
-  cache_misses : int; (* blocks rescanned (equals blocks x rounds uncached) *)
+  cache_misses : int; (* blocks rescanned, all rounds *)
   build_time : float; (* seconds *)
   coalesce_time : float;
     (* irc's worklist drive (simplify interleaved with conservative
@@ -80,18 +80,17 @@ type shared_build
 (** [build_shared config machine ~tele heuristic proc] lints [proc] (when
     [config.verify]), builds its first pass in [heuristic]'s coalesce
     mode, computes spill costs and fully compresses the alias forest, so
-    that consumers only ever read it. [pool] shards the block scan;
-    [edge_cache] (default on) gives the build a private cache for its
-    coalescing rounds. The result serves every heuristic with the same
-    coalesce mode — Chaitin, Briggs and Matula — but never irc, whose
-    conservative merges write the alias forest: an irc allocation needs
-    a build of its own. *)
+    that consumers only ever read it. The build gets a private edge
+    cache for its coalescing rounds; [pool] shards its block rescans.
+    The result serves every heuristic with the same coalesce mode —
+    Chaitin, Briggs and Matula — but never irc, whose conservative
+    merges write the alias forest: an irc allocation needs a build of
+    its own. *)
 val build_shared :
   config ->
   Machine.t ->
   tele:Ra_support.Telemetry.t ->
   ?pool:Ra_support.Pool.t ->
-  ?edge_cache:bool ->
   Heuristic.t ->
   Ra_ir.Proc.t ->
   shared_build

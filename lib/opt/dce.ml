@@ -10,9 +10,7 @@ let removable (ins : Instr.t) =
 
 let sweep_once (proc : Proc.t) : int =
   let cfg = Cfg.build proc.code in
-  let live =
-    Liveness.compute ~code:proc.code ~cfg (Liveness.vreg_numbering proc)
-  in
+  let live = Liveness.compute ~cfg (Liveness.vreg_numbering proc) in
   let index = Liveness.vreg_index proc in
   let dead = Hashtbl.create 16 in
   for b = 0 to Cfg.n_blocks cfg - 1 do

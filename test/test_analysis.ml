@@ -28,7 +28,7 @@ let liveness_straight_line () =
         Instr.Ret (Some i2) ]
   in
   let cfg = Cfg.build p.Proc.code in
-  let live = Liveness.compute ~code:p.Proc.code ~cfg (Liveness.vreg_numbering p) in
+  let live = Liveness.compute ~cfg (Liveness.vreg_numbering p) in
   let after i = Ra_support.Bitset.elements (Liveness.live_after live i) in
   Alcotest.(check (list int)) "after li i0" [ 0 ] (after 0);
   Alcotest.(check (list int)) "after li i1" [ 0; 1 ] (after 1);
@@ -49,7 +49,7 @@ let liveness_branch () =
         Instr.Ret (Some i0) (* 6 *) ]
   in
   let cfg = Cfg.build p.Proc.code in
-  let live = Liveness.compute ~code:p.Proc.code ~cfg (Liveness.vreg_numbering p) in
+  let live = Liveness.compute ~cfg (Liveness.vreg_numbering p) in
   Alcotest.(check (list int)) "both live into branch" [ 0; 1 ]
     (Ra_support.Bitset.elements (Liveness.live_after live 1))
 
@@ -67,7 +67,7 @@ let liveness_loop () =
         Instr.Ret (Some i0) (* 6 *) ]
   in
   let cfg = Cfg.build p.Proc.code in
-  let live = Liveness.compute ~code:p.Proc.code ~cfg (Liveness.vreg_numbering p) in
+  let live = Liveness.compute ~cfg (Liveness.vreg_numbering p) in
   Alcotest.(check bool) "i0 live through the loop" true
     (Ra_support.Bitset.mem (Liveness.live_after live 3) 0)
 
@@ -126,7 +126,7 @@ let prop_liveness_matches_naive =
         (fun (p : Proc.t) ->
           let cfg = Cfg.build p.Proc.code in
           let live =
-            Liveness.compute ~code:p.Proc.code ~cfg (Liveness.vreg_numbering p)
+            Liveness.compute ~cfg (Liveness.vreg_numbering p)
           in
           let reference = naive_liveness p in
           let ok = ref true in
@@ -146,9 +146,9 @@ let check_update_matches_compute ~msg ~old_live (p : Proc.t) ~remap
     ~dirty_blocks =
   let cfg = Cfg.build p.Proc.code in
   let numbering = Liveness.vreg_numbering p in
-  let fresh = Liveness.compute ~code:p.Proc.code ~cfg numbering in
+  let fresh = Liveness.compute ~cfg numbering in
   let updated =
-    Liveness.update ~old:old_live ~code:p.Proc.code ~cfg numbering ~remap
+    Liveness.update ~old:old_live ~cfg numbering ~remap
       ~dirty_blocks
   in
   for b = 0 to Cfg.n_blocks cfg - 1 do
@@ -184,7 +184,7 @@ let update_propagates_to_clean_blocks () =
   in
   let old_cfg = Cfg.build old_p.Proc.code in
   let old_live =
-    Liveness.compute ~code:old_p.Proc.code ~cfg:old_cfg
+    Liveness.compute ~cfg:old_cfg
       (Liveness.vreg_numbering old_p)
   in
   Alcotest.(check bool) "i0 dead across the branch before the edit" false
@@ -227,7 +227,7 @@ let update_retires_ids_everywhere () =
   in
   let old_cfg = Cfg.build old_p.Proc.code in
   let old_live =
-    Liveness.compute ~code:old_p.Proc.code ~cfg:old_cfg
+    Liveness.compute ~cfg:old_cfg
       (Liveness.vreg_numbering old_p)
   in
   Alcotest.(check bool) "i1 live through the middle block before" true
@@ -278,7 +278,7 @@ let update_noop_is_identity () =
   in
   let cfg = Cfg.build p.Proc.code in
   let old_live =
-    Liveness.compute ~code:p.Proc.code ~cfg (Liveness.vreg_numbering p)
+    Liveness.compute ~cfg (Liveness.vreg_numbering p)
   in
   ignore
     (check_update_matches_compute ~msg:"noop" ~old_live p ~remap:(fun i -> i)
@@ -300,7 +300,7 @@ let prop_update_extremes_match_compute =
         (fun (p : Proc.t) ->
           let cfg = Cfg.build p.Proc.code in
           let numbering = Liveness.vreg_numbering p in
-          let live = Liveness.compute ~code:p.Proc.code ~cfg numbering in
+          let live = Liveness.compute ~cfg numbering in
           let n = Cfg.n_blocks cfg in
           let same a b =
             let ok = ref true in
@@ -318,7 +318,7 @@ let prop_update_extremes_match_compute =
             !ok
           in
           let update dirty_blocks =
-            Liveness.update ~old:live ~code:p.Proc.code ~cfg numbering
+            Liveness.update ~old:live ~cfg numbering
               ~remap:(fun i -> i) ~dirty_blocks
           in
           same (update []) live

@@ -171,19 +171,13 @@ let node_web_round_trip () =
         (Ra_support.Union_find.find built.Build.alias w.Webs.w_id = back))
     (Webs.webs webs)
 
-(* ---- parallel build == sequential build, structurally ---- *)
+(* ---- cached, pooled build == sequential uncached build ---- *)
 
 (* Shared across qcheck trials: domains are never reclaimed before
    process exit, so pools must not be created per trial. *)
 let pools = lazy (List.map (fun jobs -> Ra_support.Pool.create ~jobs) [ 2; 4; 8 ])
 
-let same_graph (a : Igraph.t) (b : Igraph.t) =
-  Igraph.n_nodes a = Igraph.n_nodes b
-  && Igraph.n_precolored a = Igraph.n_precolored b
-  && Igraph.n_edges a = Igraph.n_edges b
-  && List.for_all
-       (fun n -> Igraph.neighbors a n = Igraph.neighbors b n)
-       (List.init (Igraph.n_nodes a) Fun.id)
+let same_graph (a : Igraph.t) (b : Igraph.t) = Igraph.diff a b = None
 
 let same_build (x : Build.t) (y : Build.t) =
   same_graph x.Build.int_graph y.Build.int_graph
@@ -198,17 +192,26 @@ let same_outcome g_seq g_par h ~k =
   Heuristic.run h g_seq ~k ~costs:(costs g_seq)
   = Heuristic.run h g_par ~k ~costs:(costs g_par)
 
+(* a cache-backed build whose block rescans are sharded over [pool],
+   cross-checked round by round against the uncached reference scan *)
+let pooled_build ?coalesce_mode ~pool ~cache p cfg ~webs =
+  Build.build Machine.rt_pc p cfg ~webs ?coalesce_mode ~pool ~cache
+    ~touched:(Ra_support.Bitset.create 0)
+    ~verify:true ()
+
 let prop_parallel_build_identical =
-  (* The tentpole property: sharding the block scan over worker domains
-     and replaying the staged edges must reproduce the sequential graph
-     bit for bit — same edges, same adjacency insertion order (which
-     simplify/select are sensitive to), same node numbering, same
-     coalescing — and therefore identical coloring/spill decisions for
-     every heuristic, with and without coalescing, at any pool width. *)
+  (* Sharding the cached block rescans over worker domains and replaying
+     every block's entry in block order must reproduce the sequential
+     uncached graph bit for bit — same edges, same adjacency insertion
+     order (which simplify/select are sensitive to), same node
+     numbering, same coalescing — and therefore identical coloring/spill
+     decisions for every heuristic, with and without coalescing, at any
+     pool width, from a cold cache and from a warm one. *)
   QCheck.Test.make
     ~name:
       "parallel graph build is structurally identical to sequential \
-       (jobs 2/4/8, with/without coalescing, all heuristics agree)"
+       uncached (cold and warm cache, jobs 2/4/8, with/without \
+       coalescing, all heuristics agree)"
     ~count:12
     QCheck.(pair (int_bound 1000000) (int_range 5 30))
     (fun (seed, size) ->
@@ -219,38 +222,55 @@ let prop_parallel_build_identical =
           let cfg = Cfg.build p.Proc.code in
           let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
           List.for_all
-            (fun coalesce ->
-              let seq = Build.build Machine.rt_pc p cfg ~webs ~coalesce () in
+            (fun coalesce_mode ->
+              let seq =
+                Build.build Machine.rt_pc p cfg ~webs ~coalesce_mode ()
+              in
               List.for_all
                 (fun pool ->
-                  let par =
-                    Build.build Machine.rt_pc p cfg ~webs ~coalesce ~pool
-                      ~par:(Build.par_scratch ())
-                      ~touched:(Ra_support.Bitset.create 0)
-                      ~verify:true ()
+                  let cache = Build.Edge_cache.create () in
+                  let build () =
+                    pooled_build ~coalesce_mode ~pool ~cache p cfg ~webs
                   in
-                  same_build seq par
+                  let cold = build () in
+                  let warm = build () in
+                  same_build seq cold && same_build seq warm
                   && List.for_all
                        (fun h ->
-                         same_outcome seq.Build.int_graph par.Build.int_graph
+                         same_outcome seq.Build.int_graph cold.Build.int_graph
                            h
                            ~k:(Machine.regs Machine.rt_pc Reg.Int_reg)
                          && same_outcome seq.Build.flt_graph
-                              par.Build.flt_graph h
+                              cold.Build.flt_graph h
                               ~k:(Machine.regs Machine.rt_pc Reg.Flt_reg))
                        [ Heuristic.Chaitin; Heuristic.Briggs;
                          Heuristic.Matula ])
                 (Lazy.force pools))
-            [ true; false ])
+            [ Build.Aggressive; Build.Off ])
         procs)
 
-(* ---- block chunking ---- *)
+let pool_without_cache_rejected () =
+  let p, webs, _ = build_of "proc f(a: int) : int { return a + 1; }" in
+  let cfg = Cfg.build p.Proc.code in
+  Alcotest.check_raises "a pool needs a cache"
+    (Invalid_argument "Build.build: a pool needs a cache")
+    (fun () ->
+      ignore
+        (Build.build Machine.rt_pc p cfg ~webs
+           ~pool:(List.hd (Lazy.force pools)) ()))
 
-let chunk_starts_clamped_to_blocks () =
-  (* a 1-block CFG handed to a wide pool must degrade to one chunk, not
-     produce empty chunks or out-of-range starts (compiled procedures
+(* ---- rescan chunking ---- *)
+
+let chunk_weights_clamped_to_items () =
+  (* one dirty block handed to a wide pool must degrade to one chunk,
+     not produce empty chunks or out-of-range starts *)
+  Alcotest.(check (array int)) "one chunk" [| 0; 1 |]
+    (Build.chunk_weights ~weights:[| 3 |] ~n_chunks:8);
+  Alcotest.(check (array int)) "at least one chunk" [| 0; 2 |]
+    (Build.chunk_weights ~weights:[| 3; 4 |] ~n_chunks:0);
+  (* and a pooled build over a single-block CFG (compiled procedures
      always end in a separate return block, so build the straight-line
-     procedure by hand) *)
+     procedure by hand) still matches the sequential one *)
   let a = Reg.int 0 and b = Reg.int 1 in
   let p = Proc.create ~name:"f" ~args:[ a; b ] ~ret_cls:(Some Reg.Int_reg) in
   let t = Proc.fresh_reg p Reg.Int_reg in
@@ -260,22 +280,15 @@ let chunk_starts_clamped_to_blocks () =
        { Proc.ins = Instr.Ret (Some t); depth = 0 } |];
   let cfg = Cfg.build p.Proc.code in
   Alcotest.(check int) "single-block program" 1 (Cfg.n_blocks cfg);
-  let starts = Build.chunk_starts cfg ~n_chunks:8 in
-  Alcotest.(check (array int)) "one chunk" [| 0; 1 |] starts;
-  (* and the parallel build over that degenerate chunking still matches
-     the sequential one *)
   let webs = Webs.build p cfg ~is_spill_vreg:(fun _ -> false) in
   let seq = Build.build Machine.rt_pc p cfg ~webs () in
   let par =
-    Build.build Machine.rt_pc p cfg ~webs
-      ~pool:(List.nth (Lazy.force pools) 2)
-      ~par:(Build.par_scratch ())
-      ~touched:(Ra_support.Bitset.create 0)
-      ~verify:true ()
+    pooled_build ~pool:(List.nth (Lazy.force pools) 2)
+      ~cache:(Build.Edge_cache.create ()) p cfg ~webs
   in
   Alcotest.(check bool) "parallel matches sequential" true (same_build seq par)
 
-let chunk_starts_cover_every_block () =
+let chunk_weights_cover_every_item () =
   let src =
     {| proc f(n: int) : int {
          var s: int; var i: int;
@@ -289,9 +302,12 @@ let chunk_starts_cover_every_block () =
   let p = List.hd (Codegen.compile_source src) in
   let cfg = Cfg.build p.Proc.code in
   let n = Cfg.n_blocks cfg in
+  let weights =
+    Array.map (fun (blk : Cfg.block) -> blk.last - blk.first + 1) cfg.blocks
+  in
   List.iter
     (fun n_chunks ->
-      let starts = Build.chunk_starts cfg ~n_chunks in
+      let starts = Build.chunk_weights ~weights ~n_chunks in
       let chunks = Array.length starts - 1 in
       Alcotest.(check int)
         (Printf.sprintf "clamped (%d requested)" n_chunks)
@@ -320,16 +336,16 @@ let cached_rebuild_replays_all_blocks () =
   let cache = Build.Edge_cache.create () in
   (* coalescing off pins the build to one scan round, making the hit and
      miss counts exact *)
-  let plain = Build.build Machine.rt_pc p cfg ~webs ~coalesce:false () in
+  let plain = Build.build Machine.rt_pc p cfg ~webs ~coalesce_mode:Build.Off () in
   let cold =
-    Build.build Machine.rt_pc p cfg ~webs ~coalesce:false ~cache ~verify:true
+    Build.build Machine.rt_pc p cfg ~webs ~coalesce_mode:Build.Off ~cache ~verify:true
       ()
   in
   Alcotest.(check int) "cold build rescans every block" n
     cold.Build.cache_misses;
   Alcotest.(check int) "cold build replays none" 0 cold.Build.cache_hits;
   let warm =
-    Build.build Machine.rt_pc p cfg ~webs ~coalesce:false ~cache ~verify:true
+    Build.build Machine.rt_pc p cfg ~webs ~coalesce_mode:Build.Off ~cache ~verify:true
       ()
   in
   Alcotest.(check int) "warm build rescans nothing" 0 warm.Build.cache_misses;
@@ -340,7 +356,7 @@ let cached_rebuild_replays_all_blocks () =
   (* invalidating one block forces exactly that block's rescan *)
   Build.Edge_cache.invalidate_blocks cache [ 0 ];
   let partial =
-    Build.build Machine.rt_pc p cfg ~webs ~coalesce:false ~cache ~verify:true
+    Build.build Machine.rt_pc p cfg ~webs ~coalesce_mode:Build.Off ~cache ~verify:true
       ()
   in
   Alcotest.(check int) "one miss on the invalidated block" 1
@@ -405,10 +421,12 @@ let suites =
           coalesce_refuses_interfering;
         Alcotest.test_case "node/web round trip" `Quick node_web_round_trip ] );
     ( "build.parallel",
-      [ Alcotest.test_case "chunk_starts clamps to block count" `Quick
-          chunk_starts_clamped_to_blocks;
-        Alcotest.test_case "chunk_starts covers every block" `Quick
-          chunk_starts_cover_every_block;
+      [ Alcotest.test_case "chunk_weights clamps to item count" `Quick
+          chunk_weights_clamped_to_items;
+        Alcotest.test_case "chunk_weights covers every item" `Quick
+          chunk_weights_cover_every_item;
+        Alcotest.test_case "pool without cache rejected" `Quick
+          pool_without_cache_rejected;
         QCheck_alcotest.to_alcotest prop_parallel_build_identical ] );
     ( "build.edge_cache",
       [ Alcotest.test_case "cached rebuild replays all blocks" `Quick

@@ -2,7 +2,8 @@
    decomposition of the old monolithic allocate loop must reproduce the
    pre-refactor allocator's results exactly, spill-group emission must
    be deterministic by construction, and every execution mode (jobs,
-   edge cache, incrementality) must agree on everything observable. *)
+   verification against the uncached from-scratch reference) must agree
+   on everything observable. *)
 
 open Ra_ir
 open Ra_core
@@ -129,7 +130,9 @@ let spill_groups_sorted () =
   let webs =
     Ra_analysis.Webs.build proc cfg ~is_spill_vreg:(fun _ -> false)
   in
-  let built = Build.build machine proc cfg ~webs ~coalesce:true () in
+  let built =
+    Build.build machine proc cfg ~webs ~coalesce_mode:Build.Aggressive ()
+  in
   let g = Build.graph_of_class built Reg.Int_reg in
   let k = Ra_core.Igraph.n_precolored g in
   let n = Ra_core.Igraph.n_nodes g in
@@ -228,15 +231,17 @@ let fingerprint (r : Allocator.result) =
     Proc.to_string r.Allocator.proc )
 
 let prop_pipeline_mode_invariant =
-  (* The refactored pipeline over every execution mode — sequential,
-     pooled builds, edge cache off, incrementality off — produces one
-     observable allocation per (program, heuristic, coalesce): same
-     pass counters, totals, and rewritten code, or the same failure. *)
+  (* The refactored pipeline over every execution mode — sequential or
+     pooled builds, each unverified and verified (every incremental pass
+     and every cached round checked against the uncached from-scratch
+     reference, which raises on a difference) — produces one observable
+     allocation per (program, heuristic, coalesce): same pass counters,
+     totals, and rewritten code, or the same failure. *)
   let pool = lazy (Ra_support.Pool.create ~jobs:4) in
   QCheck.Test.make
     ~name:
-      "pipeline is mode-invariant (jobs 1/4 x edge cache x incremental, \
-       all heuristics, with/without coalescing)"
+      "pipeline is mode-invariant (jobs 1/4 x verified reference, all \
+       heuristics, with/without coalescing)"
     ~count:10
     QCheck.(triple (int_bound 1000000) (int_range 5 30) (int_range 3 10))
     (fun (seed, size, k) ->
@@ -248,10 +253,10 @@ let prop_pipeline_mode_invariant =
         (fun h ->
           let max_passes = if h = Heuristic.Matula then 6 else 32 in
           let contexts =
-            [ Context.create ~jobs:1 machine;
-              Context.create ~pool:(Lazy.force pool) machine;
-              Context.create ~jobs:1 ~edge_cache:false machine;
-              Context.create ~jobs:1 ~incremental:false machine ]
+            [ Context.create ~verify:false ~jobs:1 machine;
+              Context.create ~verify:false ~pool:(Lazy.force pool) machine;
+              Context.create ~verify:true ~jobs:1 machine;
+              Context.create ~verify:true ~pool:(Lazy.force pool) machine ]
           in
           List.for_all
             (fun coalesce ->
@@ -381,11 +386,11 @@ let with_pool ~jobs f =
     (fun () -> f pool)
 
 (* The matrix's fingerprints at [jobs], or the failure it raised. *)
-let matrix_fps ?coalesce ?edge_cache ?(heuristics = all_heuristics) ~jobs
+let matrix_fps ?coalesce ?verify ?(heuristics = all_heuristics) ~jobs
     machine procs =
   with_pool ~jobs (fun pool ->
     match
-      Batch.allocate_matrix ?coalesce ?edge_cache ~scheduler:pool machine
+      Batch.allocate_matrix ?coalesce ?verify ~scheduler:pool machine
         heuristics procs
     with
     | cols -> Ok (List.map (List.map fingerprint) cols)
@@ -394,12 +399,11 @@ let matrix_fps ?coalesce ?edge_cache ?(heuristics = all_heuristics) ~jobs
 (* The reference: one warm sequential [Allocator.allocate] per cell, a
    context per heuristic reused across the routines; [Error ()] when
    any cell fails, since the matrix then raises as a whole. *)
-let sequential_fps ?coalesce ?edge_cache ?(heuristics = all_heuristics)
-    machine procs =
+let sequential_fps ?coalesce ?(heuristics = all_heuristics) machine procs =
   match
     List.map
       (fun h ->
-        let context = Context.create ?edge_cache ~jobs:1 machine in
+        let context = Context.create ~jobs:1 machine in
         List.map
           (fun p ->
             fingerprint (Allocator.allocate ?coalesce ~context machine h p))
@@ -456,21 +460,28 @@ let matrix_matches_sequential_on_quicksort () =
 
 let prop_matrix_equals_sequential =
   QCheck.Test.make
-    ~name:"random programs: matrix ≡ sequential allocate (width x edge cache)"
+    ~name:
+      "random programs: matrix ≡ sequential allocate (width x verified \
+       matrix)"
     ~count:6
     QCheck.(
       quad (int_bound 1000000) (int_range 5 25) (oneofl [ 1; 2; 4; 8 ]) bool)
-    (fun (seed, size, jobs, edge_cache) ->
+    (fun (seed, size, jobs, verify) ->
+      (* a verified matrix checks every incremental pass and cached round
+         against the uncached from-scratch reference (raising on a
+         difference) and must still match the sequential cells, which
+         verify only under RA_VERIFY *)
       let machine = Machine.rt_pc in
       let procs = Codegen.compile_source (Progen.generate ~seed ~size) in
       if
-        matrix_fps ~edge_cache ~jobs machine procs
-        <> sequential_fps ~edge_cache machine procs
+        matrix_fps ?verify:(if verify then Some true else None) ~jobs machine
+          procs
+        <> sequential_fps machine procs
       then
         QCheck.Test.fail_reportf
           "matrix and sequential outcomes diverge (seed %d, size %d, jobs \
-           %d, cache %b)"
-          seed size jobs edge_cache;
+           %d, verify %b)"
+          seed size jobs verify;
       true)
 
 let suites =

@@ -231,26 +231,29 @@ let pool_counters () =
 
 let machine = Machine.rt_pc
 
-let allocate_all_checked ?(coalesce = true) ?verify ~jobs ~edge_cache
-    ~heuristic program =
+(* Allocate [program] under the race checker on a pool-backed context;
+   returns each routine's outcome (spills and final code, [None] for a
+   failed allocation) and the checker's diagnostics. *)
+let allocate_all_checked ?(coalesce = true) ?verify ~jobs ~heuristic program
+    =
   with_pool ~jobs (fun pool ->
     let procs = Ra_programs.Suite.compile program in
-    let ctx = Context.create ?verify ~edge_cache ~pool machine in
-    let _, diags =
-      Race.with_check (fun () ->
-        List.iter
-          (fun p ->
-            (* the cost-blind Matula ablation can legitimately fail to
-               converge on the big routines without coalescing; the
-               sweep asserts race-cleanliness of whatever ran, not
-               allocatability of every combo *)
-            try
-              ignore
-                (Allocator.allocate ~coalesce ~context:ctx machine heuristic p)
-            with Pipeline.Allocation_failure _ -> ())
-          procs)
-    in
-    diags)
+    let ctx = Context.create ?verify ~pool machine in
+    Race.with_check (fun () ->
+      List.map
+        (fun p ->
+          (* the cost-blind Matula ablation can legitimately fail to
+             converge on the big routines without coalescing; the sweep
+             asserts race-cleanliness of whatever ran, not
+             allocatability of every combo *)
+          match
+            Allocator.allocate ~coalesce ~context:ctx machine heuristic p
+          with
+          | r ->
+            Some
+              (r.Allocator.total_spilled, Ra_ir.Proc.to_string r.Allocator.proc)
+          | exception Pipeline.Allocation_failure _ -> None)
+        procs))
 
 (* The seeded run's context pins [~verify:false]: under RA_VERIFY the
    build's own cross-check would raise [Build.Divergence] before the
@@ -261,8 +264,8 @@ let seeded_cache_race_is_caught () =
   Fun.protect
     ~finally:(fun () -> Build.seeded_cache_race := false)
     (fun () ->
-      let diags =
-        allocate_all_checked ~verify:false ~jobs:4 ~edge_cache:true
+      let _, diags =
+        allocate_all_checked ~verify:false ~jobs:4
           ~heuristic:Heuristic.Briggs Ra_programs.Suite.quicksort
       in
       Alcotest.(check bool) "seeded race reported as a data race" true
@@ -277,7 +280,7 @@ let seeded_cache_race_is_caught () =
            diags);
       Alcotest.(check bool) "the verified run raises Build.Divergence" true
         (match
-           allocate_all_checked ~verify:true ~jobs:4 ~edge_cache:true
+           allocate_all_checked ~verify:true ~jobs:4
              ~heuristic:Heuristic.Briggs Ra_programs.Suite.quicksort
          with
          | _ -> false
@@ -298,14 +301,27 @@ let suite_sweep () =
         (fun heuristic ->
           List.iter
             (fun coalesce ->
-              List.iter
-                (fun edge_cache ->
-                  check_no_errors
-                    (Printf.sprintf "%s race-clean (cache %b, coalesce %b)"
-                       program.Ra_programs.Suite.pname edge_cache coalesce)
-                    (allocate_all_checked ~coalesce ~jobs:4 ~edge_cache
-                       ~heuristic program))
-                [ true; false ])
+              (* the verified run checks every incremental pass and
+                 cached round against the uncached from-scratch
+                 reference, and must reach the same outcomes *)
+              let run verify =
+                let outcomes, diags =
+                  allocate_all_checked ~coalesce
+                    ?verify:(if verify then Some true else None)
+                    ~jobs:4 ~heuristic program
+                in
+                check_no_errors
+                  (Printf.sprintf "%s race-clean (verified %b, coalesce %b)"
+                     program.Ra_programs.Suite.pname verify coalesce)
+                  diags;
+                outcomes
+              in
+              let plain = run false in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s verified outcomes match (coalesce %b)"
+                   program.Ra_programs.Suite.pname coalesce)
+                true
+                (run true = plain))
             coalesces)
         heuristics)
     programs
@@ -323,8 +339,9 @@ let suite_sweep_widths () =
           check_no_errors
             (Printf.sprintf "%s race-clean at jobs %d"
                program.Ra_programs.Suite.pname jobs)
-            (allocate_all_checked ~jobs ~edge_cache:true
-               ~heuristic:Heuristic.Briggs program))
+            (snd
+               (allocate_all_checked ~jobs ~heuristic:Heuristic.Briggs
+                  program)))
         [ 2; 8 ])
     programs
 
@@ -359,11 +376,14 @@ let prop_random_programs_race_clean =
     ~count:(if heavy then 15 else 5)
     QCheck.(
       quad (int_bound 1000000) (int_range 5 30) (int_range 2 8) bool)
-    (fun (seed, size, jobs, edge_cache) ->
+    (fun (seed, size, jobs, verify) ->
       let src = Progen.generate ~seed ~size in
       let procs = Ra_ir.Codegen.compile_source src in
       with_pool ~jobs (fun pool ->
-        let ctx = Context.create ~edge_cache ~pool machine in
+        let ctx =
+          Context.create ?verify:(if verify then Some true else None) ~pool
+            machine
+        in
         let _, diags =
           Race.with_check (fun () ->
             List.iter
